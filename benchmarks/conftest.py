@@ -4,7 +4,7 @@ Every benchmark runs a *fresh* engine per measurement round (circuits are
 cached inside each instance, so timing covers simulation, not circuit
 generation).  Instances come from the ``quick`` profile so the whole suite
 regenerates every paper artifact in a few minutes; use
-``python -m repro.analysis <artifact> --profile full`` for larger runs.
+``python -m repro experiments <artifact> --profile full`` for larger runs.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ The package provides:
                           semiclassical simulator), Google supremacy-style
                           random circuits, QFT and Draper arithmetic.
 * ``repro.baseline``   -- a dense numpy statevector simulator for
-                          cross-validation.
-* ``repro.analysis``   -- the experiment harness regenerating Fig. 8, Fig. 9,
-                          Table I and Table II of the paper.
+                          cross-validation (the ``dense`` backend).
+* ``repro.analysis``   -- the experiment runners behind
+                          ``python -m repro experiments``, regenerating
+                          Fig. 8, Fig. 9, Table I and Table II of the paper.
 """
 
 from .circuit import QuantumCircuit

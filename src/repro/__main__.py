@@ -11,6 +11,7 @@ Examples::
     python -m repro equiv circuit_a.qasm circuit_b.qasm
     python -m repro factor 15
     python -m repro experiments --profile quick --jobs 4
+    python -m repro experiments write-experiments --profile default
     python -m repro sweep spec.json --jobs 4 --output report.json
     python -m repro jobs submit ./store --instance grover_8 --strategy k=4
     python -m repro jobs run ./store --workers 2 --trace store.jsonl
@@ -333,36 +334,57 @@ def _cmd_factor(args) -> int:
     return 1
 
 
+_EXPERIMENTS = ("schedule", "fig5", "fig8", "fig9", "table1", "table2",
+                "reorder", "scaling")
+
+
 def _cmd_experiments(args) -> int:
     """Regenerate a paper artifact, optionally on parallel workers.
 
     The default artifact is the *schedule report*: every reported column
     is schedule-determined (no wall-clock), so the output is byte-identical
     across runs and ``--jobs`` counts -- CI diffs serial against parallel
-    execution of exactly this command.
+    execution of exactly this command.  ``all`` prints every artifact;
+    ``write-experiments`` runs the paper experiments and rewrites
+    ``--output`` (EXPERIMENTS.md).
     """
-    from .analysis.experiments import (run_fig8, run_fig9,
+    from .analysis.experiments import (run_fig5_study, run_fig8, run_fig9,
                                        run_reorder_study,
                                        run_schedule_report, run_table1,
                                        run_table2)
     from .analysis.reporting import format_result, write_markdown_table
+    from .analysis.scaling import run_scaling_study
 
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    if args.experiment == "write-experiments":
+        from .analysis.experiments_md import generate_experiments_md
+
+        content = generate_experiments_md(args.profile)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        print(f"wrote {args.output}")
+        return 0
     runners = {
         "schedule": lambda: run_schedule_report(args.profile, jobs=args.jobs),
+        "fig5": run_fig5_study,
         "fig8": lambda: run_fig8(args.profile, jobs=args.jobs),
         "fig9": lambda: run_fig9(args.profile, jobs=args.jobs),
         "table1": lambda: run_table1(args.profile, jobs=args.jobs),
         "table2": lambda: run_table2(args.profile, jobs=args.jobs),
-        "reorder": lambda: run_reorder_study(),
+        "reorder": run_reorder_study,
+        "scaling": lambda: run_scaling_study(
+            "supremacy" if args.profile == "full" else "grover"),
     }
-    result = runners[args.experiment]()
-    if args.markdown:
-        print(write_markdown_table(result))
-    else:
-        print(format_result(result))
+    names = _EXPERIMENTS if args.experiment == "all" \
+        else (args.experiment,)
+    for name in names:
+        result = runners[name]()
+        if args.markdown:
+            print(write_markdown_table(result))
+        else:
+            print(format_result(result))
     return 0
 
 
@@ -854,11 +876,11 @@ def main(argv: list[str] | None = None) -> int:
                                "repeating[:inner]")
     simulate.add_argument("--backend", default=None, metavar="NAME",
                           help="simulate through a registered backend: "
-                               "dd | dd-iterative | dd-matrix | dense | "
-                               "tensor-slot, or 'auto' to pick per circuit "
-                               "from cheap predictors (decision recorded "
-                               "in the statistics); default: the engine "
-                               "fast path")
+                               "dd | dd-iterative | dd-matrix | dense, or "
+                               "'auto' to pick per circuit from cheap "
+                               "predictors (decision recorded in the "
+                               "statistics); default: the engine fast "
+                               "path")
     simulate.add_argument("--initial", type=int, default=0,
                           help="initial basis state index")
     add_run_options(simulate)
@@ -912,11 +934,13 @@ def main(argv: list[str] | None = None) -> int:
         help="regenerate a paper artifact (default: the deterministic "
              "schedule report), optionally on parallel workers")
     experiments.add_argument("experiment", nargs="?", default="schedule",
-                             choices=["schedule", "fig8", "fig9",
-                                      "table1", "table2", "reorder"],
+                             choices=[*_EXPERIMENTS, "all",
+                                      "write-experiments"],
                              help="artifact to regenerate "
                                   "(default: schedule -- byte-identical "
-                                  "output for any --jobs)")
+                                  "output for any --jobs); 'all' prints "
+                                  "every artifact, 'write-experiments' "
+                                  "rewrites EXPERIMENTS.md")
     experiments.add_argument("--profile", default="quick",
                              choices=["quick", "default", "full"],
                              help="instance-size profile (default: quick)")
@@ -924,6 +948,9 @@ def main(argv: list[str] | None = None) -> int:
                              help="worker processes (default: 1, inline)")
     experiments.add_argument("--markdown", action="store_true",
                              help="emit a Markdown table")
+    experiments.add_argument("--output", default="EXPERIMENTS.md",
+                             help="target file for write-experiments "
+                                  "(default: EXPERIMENTS.md)")
     experiments.set_defaults(handler=_cmd_experiments)
 
     sweep = commands.add_parser(

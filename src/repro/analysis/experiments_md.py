@@ -2,7 +2,7 @@
 
 Run with::
 
-    python -m repro.analysis write-experiments [--profile default]
+    python -m repro experiments write-experiments [--profile default]
 
 The document records, for every table and figure of the paper's evaluation,
 (a) what the paper reports, (b) what this reproduction measures on its
@@ -81,7 +81,8 @@ def generate_experiments_md(profile: str = "quick") -> str:
         "of Quantum Computations*, DATE 2019.",
         "",
         f"- generated: {date.today().isoformat()} by "
-        f"`python -m repro.analysis write-experiments --profile {profile}`",
+        f"`python -m repro experiments write-experiments --profile "
+        f"{profile}`",
         f"- python {sys.version.split()[0]} on {platform.machine()} "
         f"({platform.system()})",
         f"- instance profile: `{profile}` (see DESIGN.md for the scaling "
@@ -178,11 +179,10 @@ def _parallel_sweep_section() -> list[str]:
         "independent, so they can be fanned out over worker processes:",
         "",
         "```",
-        "python -m repro.analysis fig8 --profile default --jobs 4",
+        "python -m repro experiments fig8 --profile default --jobs 4",
         "python -m repro experiments --profile quick --jobs 4   "
         "# deterministic schedule report",
         "python -m repro sweep spec.json --jobs 4 --output report.json",
-        "python -m repro bench --smoke --jobs 4",
         "```",
         "",
         "Workers are shared-nothing by necessity, not preference: DD node "

@@ -1,12 +1,11 @@
 """Multi-backend dispatch: every way to simulate, behind one protocol.
 
-The repo computes the same quantum state at least five ways -- the
-recursive DD fast path, the iterative flat-array DD kernel, the paper's
-strategy-driven matrix-DD pathway, a dense statevector, and a tensor-slot
-statevector.  This package puts them behind one :class:`Backend` protocol
-with a registry, so callers (CLI, sweeps, the differential fuzzer) treat
-"which simulator" as data, and an ``auto`` selector that picks per
-circuit from cheap structural predictors.
+The repo computes the same quantum state four ways -- the recursive DD
+fast path, the iterative flat-array DD kernel, the paper's strategy-driven
+matrix-DD pathway, and a dense statevector.  This package puts them behind
+one :class:`Backend` protocol with a registry, so callers (CLI, sweeps,
+the differential fuzzer) treat "which simulator" as data, and an ``auto``
+selector that picks per circuit from cheap structural predictors.
 
 Importing this package registers the built-ins::
 
@@ -29,22 +28,19 @@ from .registry import (available_backends, backend_description,
                        create_backend, register_backend, unregister_backend)
 from .selector import (Selection, resolve_backend, score_backends,
                        select_backend)
-from .tensor_slot import TensorSlotBackend
 
 __all__ = ["ArrayResult", "Backend", "BackendCapabilities", "BackendResult",
            "DDBackendResult", "DDFastBackend", "DDIterativeBackend",
            "DDMatrixBackend", "DenseBackend", "MAX_DENSE_QUBITS",
-           "Selection", "TensorSlotBackend", "available_backends",
-           "backend_description", "create_backend", "register_backend",
-           "resolve_backend", "score_backends", "select_backend",
-           "unregister_backend"]
+           "Selection", "available_backends", "backend_description",
+           "create_backend", "register_backend", "resolve_backend",
+           "score_backends", "select_backend", "unregister_backend"]
 
 #: the built-ins; re-registration on re-import is a no-op thanks to
 #: ``replace=True``
 for _name, _factory in (("dd", DDFastBackend),
                         ("dd-iterative", DDIterativeBackend),
                         ("dd-matrix", DDMatrixBackend),
-                        ("dense", DenseBackend),
-                        ("tensor-slot", TensorSlotBackend)):
+                        ("dense", DenseBackend)):
     register_backend(_name, _factory, replace=True)
 del _name, _factory

@@ -1,12 +1,12 @@
 """The backend protocol: every way this repo can compute the same state.
 
 A :class:`Backend` turns a circuit into a :class:`BackendResult` through
-the streaming protocol ``prepare -> apply* -> finalize`` (or the one-shot
-:meth:`Backend.run`, which some adapters override to route through the
-full :class:`~repro.simulation.engine.SimulationEngine` for checkpoints,
-reordering and degradation).  Every result answers the same queries --
-``amplitude`` / ``probabilities`` / ``sample`` / ``fidelity_with`` -- so
-two backends can always be cross-checked, which is exactly what
+one call, :meth:`Backend.run`.  The DD adapters route it through the full
+:class:`~repro.simulation.engine.SimulationEngine` (checkpoints,
+reordering, degradation, strategies); the dense adapter loops over the
+gates itself.  Every result answers the same queries -- ``amplitude`` /
+``probabilities`` / ``sample`` / ``fidelity_with`` -- so two backends can
+always be cross-checked, which is exactly what
 :mod:`repro.verification.fuzz` does continuously.
 
 :class:`BackendCapabilities` is the honest feature matrix: callers ask it
@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..baseline.statevector import sample_probabilities
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.operation import Operation
 from ..simulation.statistics import SimulationStatistics
 
 __all__ = ["ArrayResult", "Backend", "BackendCapabilities", "BackendResult",
@@ -98,26 +98,13 @@ class BackendResult(abc.ABC):
     def sample(self, shots: int, rng=None) -> dict[int, int]:
         """Sample ``shots`` measurement outcomes.
 
-        Uses inverse-CDF sampling over :meth:`probabilities`, so for the
-        same ``rng`` state two correct backends draw identical outcomes --
-        handy for differential checks on the sampling path itself.
+        Uses inverse-CDF sampling over :meth:`probabilities`
+        (:func:`~repro.baseline.statevector.sample_probabilities`), so for
+        the same ``rng`` state two correct backends draw identical
+        outcomes -- handy for differential checks on the sampling path
+        itself.
         """
-        if shots < 0:
-            raise ValueError(f"shots must be >= 0, got {shots}")
-        rng = rng or np.random.default_rng()
-        probabilities = np.array(self.probabilities())
-        total = probabilities.sum()
-        if total <= 0:
-            raise ValueError("state has zero norm; nothing to sample")
-        cumulative = np.cumsum(probabilities / total)
-        counts: dict[int, int] = {}
-        # rng.random() works for both random.Random and numpy generators
-        for _ in range(shots):
-            draw = rng.random()
-            outcome = int(np.searchsorted(cumulative, draw, side="right"))
-            outcome = min(outcome, len(cumulative) - 1)
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return counts
+        return sample_probabilities(self.probabilities(), shots, rng)
 
     def fidelity_with(self, other: "BackendResult") -> float:
         """``|<self|other>|^2`` -- the differential-fuzzing oracle."""
@@ -156,18 +143,9 @@ class ArrayResult(BackendResult):
 class Backend(abc.ABC):
     """One way to simulate a circuit; register it to join the fuzz pool.
 
-    The streaming protocol is the lowest common denominator::
-
-        backend.prepare(num_qubits)
-        for operation in circuit.operations():
-            backend.apply(operation)
-        result = backend.finalize()
-
-    :meth:`run` wraps it for whole circuits and validates requested
-    features against :meth:`capabilities` up front.  Engine-backed
-    adapters override :meth:`run` to unlock strategies, checkpoints and
-    reordering; the streaming protocol stays available on every backend
-    for incremental feeding (the fuzzer's minimizer relies on it).
+    Implementations validate the requested strategy and run options
+    against :meth:`capabilities` up front, then simulate the whole
+    circuit in :meth:`run`.
     """
 
     #: registry name; set by subclasses
@@ -178,53 +156,11 @@ class Backend(abc.ABC):
         """Feature matrix used for up-front validation and ``auto``."""
 
     @abc.abstractmethod
-    def prepare(self, num_qubits: int, initial_index: int = 0) -> None:
-        """Start a fresh run in the basis state ``|initial_index>``."""
-
-    @abc.abstractmethod
-    def apply(self, operation: Operation) -> None:
-        """Apply one elementary operation to the in-progress state."""
-
-    @abc.abstractmethod
-    def finalize(self) -> BackendResult:
-        """Finish the run and return the queryable result."""
-
     def run(self, circuit: QuantumCircuit, strategy: str | None = None,
             initial_index: int = 0, **run_options) -> BackendResult:
-        """Simulate a whole circuit through the streaming protocol.
+        """Simulate ``circuit`` from the basis state ``|initial_index>``.
 
-        ``strategy`` and ``run_options`` (``reorder=``, ``checkpoint_path=``,
-        ...) are validated against :meth:`capabilities`; backends that
-        support them override this method and forward to the engine.
+        ``strategy`` and ``run_options`` (``reorder=``,
+        ``checkpoint_path=``, ...) must be rejected with a
+        :class:`ValueError` when :meth:`capabilities` does not cover them.
         """
-        capabilities = self.capabilities()
-        if strategy not in (None, "sequential") and not \
-                capabilities.strategies:
-            raise ValueError(
-                f"backend {self.name!r} does not support strategy "
-                f"schedules (requested {strategy!r}); it always applies "
-                f"gates sequentially")
-        unsupported = sorted(k for k, v in run_options.items()
-                             if v is not None)
-        if unsupported:
-            raise ValueError(
-                f"backend {self.name!r} does not support run option(s) "
-                f"{', '.join(unsupported)}")
-        limit = capabilities.max_qubits
-        if limit is not None and circuit.num_qubits > limit:
-            raise ValueError(
-                f"backend {self.name!r} is capped at {limit} qubits; "
-                f"circuit {circuit.name!r} has {circuit.num_qubits}")
-        self.prepare(circuit.num_qubits, initial_index)
-        for operation in circuit.operations():
-            self.apply(operation)
-        result = self.finalize()
-        result.statistics.circuit_name = circuit.name
-        return result
-
-    # -- shared helpers for streaming adapters --------------------------
-
-    def _start_statistics(self, num_qubits: int) -> SimulationStatistics:
-        return SimulationStatistics(strategy="sequential",
-                                    num_qubits=num_qubits,
-                                    backend=self.name)

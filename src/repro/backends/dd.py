@@ -18,25 +18,18 @@ Three adapters share one engine-backed skeleton:
 
 :meth:`Backend.run` routes through
 :meth:`~repro.simulation.engine.SimulationEngine.simulate`, so traces,
-checkpoints, degradation and reordering all keep working; the streaming
-``prepare``/``apply``/``finalize`` protocol applies gates directly (no
-governor, no checkpoints) for incremental feeding, e.g. by the fuzzer's
-minimizer.
+checkpoints, degradation and reordering all keep working.
 """
 
 from __future__ import annotations
 
-import time
 from random import Random
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.operation import Operation
-from ..dd.edge import Edge
 from ..dd.package import Package
 from ..simulation.engine import SimulationEngine
 from ..simulation.memory import MemoryGovernor
 from ..simulation.result import SimulationResult
-from ..simulation.statistics import SimulationStatistics
 from ..simulation.strategies import strategy_from_spec
 from .base import Backend, BackendCapabilities, BackendResult
 
@@ -84,11 +77,6 @@ class _EngineBackend(Backend):
                  max_nodes: int | None = None) -> None:
         self.gc_limit = gc_limit
         self.max_nodes = max_nodes
-        self._engine: SimulationEngine | None = None
-        self._state: Edge | None = None
-        self._num_qubits = 0
-        self._statistics: SimulationStatistics = SimulationStatistics()
-        self._started = 0.0
 
     # -- engine construction (per run: DD node identity is engine-local) -
 
@@ -100,8 +88,6 @@ class _EngineBackend(Backend):
 
     def _make_engine(self) -> SimulationEngine:
         raise NotImplementedError
-
-    # -- one-shot path: the full engine with its resilience features ----
 
     def run(self, circuit: QuantumCircuit, strategy: str | None = None,
             initial_index: int = 0, **run_options) -> BackendResult:
@@ -126,46 +112,6 @@ class _EngineBackend(Backend):
             initial_state=engine.initial_state(circuit.num_qubits,
                                                initial_index),
             backend_label=self.name, **options)
-        return DDBackendResult(result)
-
-    # -- streaming path: direct gate application, no governor ticks -----
-
-    def prepare(self, num_qubits: int, initial_index: int = 0) -> None:
-        self._engine = self._make_engine()
-        self._state = self._engine.initial_state(num_qubits, initial_index)
-        self._num_qubits = num_qubits
-        self._statistics = self._start_statistics(num_qubits)
-        self._started = time.perf_counter()
-
-    def apply(self, operation: Operation) -> None:
-        engine = self._engine
-        if engine is None or self._state is None:
-            raise RuntimeError("prepare() must be called before apply()")
-        if engine.use_local_apply:
-            matrix, controls = engine.local_gate_spec(operation)
-            self._state = engine.package.apply_gate(
-                self._state, matrix, operation.target, controls)
-            self._statistics.local_gate_applications += 1
-        else:
-            gate = engine.gate_dd(operation, self._num_qubits)
-            self._state = engine.package.multiply_matrix_vector(
-                gate, self._state)
-        self._statistics.operations_applied += 1
-        self._statistics.matrix_vector_mults += 1
-
-    def finalize(self) -> BackendResult:
-        engine = self._engine
-        if engine is None or self._state is None:
-            raise RuntimeError("prepare() must be called before finalize()")
-        state = engine.package.solidify(self._state)
-        self._statistics.wall_time_seconds = \
-            time.perf_counter() - self._started
-        self._statistics.final_state_nodes = \
-            engine.package.count_nodes(state)
-        result = SimulationResult(state=state, package=engine.package,
-                                  statistics=self._statistics)
-        self._engine = None
-        self._state = None
         return DDBackendResult(result)
 
 

@@ -14,9 +14,8 @@ The heuristics encode what the bench data shows:
   family wins regardless of width, and past a few hundred gates the
   iterative flat kernel beats the recursive fast path.
 * Heavily entangling rotation circuits densify their DDs; on registers
-  that fit in memory, a flat array with O(2^m) per-gate slicing
-  (tensor-slot) is faster than pushing a near-dense DD around, with the
-  plain dense baseline right behind it.
+  that fit in memory, a flat array with O(2^m) per-gate slicing (dense)
+  is faster than pushing a near-dense DD around.
 * The matrix pathway never wins ``auto`` -- it exists for strategy
   studies and as an independent oracle in the fuzz pool -- so it is
   scored but pinned to the bottom.
@@ -34,9 +33,9 @@ from .registry import available_backends, create_backend
 __all__ = ["Selection", "resolve_backend", "score_backends",
            "select_backend"]
 
-#: tensor-slot / dense only compete below this width (beyond it the flat
-#: array is > 16 Mi amplitudes and DD compression usually wins)
-_DENSE_FAMILY_MAX_QUBITS = 10
+#: dense only competes below this width (beyond it DD compression
+#: usually wins)
+_DENSE_MAX_QUBITS = 10
 
 #: operation count past which the iterative kernel's lower per-node
 #: overhead beats the recursive fast path's simplicity
@@ -79,7 +78,7 @@ def score_backends(features: CircuitFeatures) -> dict[str, float]:
     """Score every registered built-in for this feature vector."""
     density = _density_signal(features)
     ops = features.num_operations
-    fits_dense = features.num_qubits <= _DENSE_FAMILY_MAX_QUBITS
+    fits_dense = features.num_qubits <= _DENSE_MAX_QUBITS
     scores = {
         # direct gate application shines on short, structured circuits
         "dd": 0.55 - 0.25 * min(1.0, ops / _ITERATIVE_CUTOVER_OPS),
@@ -88,8 +87,7 @@ def score_backends(features: CircuitFeatures) -> dict[str, float]:
                                           * _ITERATIVE_CUTOVER_OPS)),
         # strategy-study pathway: scored for the record, never the winner
         "dd-matrix": 0.05,
-        "tensor-slot": density if fits_dense else 0.0,
-        "dense": 0.95 * density if fits_dense else 0.0,
+        "dense": density if fits_dense else 0.0,
     }
     return {name: score for name, score in scores.items()
             if name in available_backends()}
@@ -109,8 +107,8 @@ def select_backend(circuit: QuantumCircuit) -> Selection:
         f"entanglement bound {features.entanglement_estimate} ebit(s), "
         f"rotation fraction {features.rotation_fraction:.2f} "
         f"-> density signal {density:.2f}: "
-        + ("dense family wins (near-dense state on a small register)"
-           if winner in ("dense", "tensor-slot")
+        + ("dense wins (near-dense state on a small register)"
+           if winner == "dense"
            else "DD family wins (structured/lightly-entangling circuit)"))
     return Selection(backend=winner, features=features, scores=scores,
                      reason=reason)

@@ -5,6 +5,15 @@ is a dense ``2^n`` numpy vector and every gate is applied by updating the
 amplitudes it touches.  It is exponential in memory by construction and used
 here (a) as ground truth to validate the DD simulator on small systems and
 (b) as the conventional baseline in benchmark sanity checks.
+
+Gates are applied by axis slicing: the flat vector is viewed as an
+``n``-qubit tensor of shape ``(2,) * n``, the target axis is moved to the
+front, the control axes are pinned to their required values, and the 2x2
+matrix updates the two resulting sub-tensors in place -- one pass over at
+most ``2^n`` amplitudes per gate, with no index arrays and no ``2^n x 2^n``
+unitary.  Index convention (little-endian): bit ``q`` of a flat basis index
+is qubit ``q``, so qubit ``q`` is tensor axis ``n - 1 - q`` of the C-order
+reshape.
 """
 
 from __future__ import annotations
@@ -16,25 +25,74 @@ import numpy as np
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.operation import Operation
 
-__all__ = ["StatevectorSimulator", "simulate_statevector", "apply_operation"]
+__all__ = ["StatevectorSimulator", "apply_operation",
+           "sample_probabilities", "simulate_statevector"]
 
 
 def apply_operation(state: np.ndarray, operation: Operation,
                     num_qubits: int) -> np.ndarray:
-    """Apply one (multi-)controlled single-qubit gate to a dense state."""
-    u = operation.matrix()
-    target_mask = 1 << operation.target
-    indices = np.arange(state.shape[0])
-    selected = (indices & target_mask) == 0
+    """Apply one (multi-)controlled single-qubit gate to a dense state.
+
+    ``state`` is the flat ``2^num_qubits`` vector and is updated in place
+    (and returned); it must be C-contiguous so the tensor reshape is a view.
+    """
+    if not state.flags.c_contiguous:
+        raise ValueError("state must be a C-contiguous array: it is "
+                         "updated in place through a reshaped view")
+    if operation.max_qubit() >= num_qubits:
+        # a qubit past the register would map to a negative axis and
+        # silently update the wrong qubit
+        raise ValueError(f"operation {operation} exceeds {num_qubits} "
+                         f"qubits")
+    tensor = state.reshape((2,) * num_qubits)
+    # qubit q <-> axis n-1-q; move the target axis first, the control axes
+    # right behind it, then pin the controls to their values -- sub[:1] /
+    # sub[1:] are writable views of the target=0/1 slices of the controlled
+    # subspace (slices, not sub[0] / sub[1]: a gate on every qubit of the
+    # register would otherwise yield 0-d views, whose arithmetic takes
+    # numpy's scalar path and can differ from the array loops in the last
+    # bit)
+    axes = [num_qubits - 1 - operation.target]
+    values = []
     for qubit, value in operation.controls:
-        selected &= ((indices >> qubit) & 1) == value
-    i0 = indices[selected]
-    i1 = i0 | target_mask
-    a0 = state[i0].copy()
-    a1 = state[i1]
-    state[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    state[i1] = u[1, 0] * a0 + u[1, 1] * a1
+        axes.append(num_qubits - 1 - qubit)
+        values.append(value)
+    moved = np.moveaxis(tensor, axes, range(len(axes)))
+    sub = moved[(slice(None), *values)]
+    u = operation.matrix()
+    a0 = sub[:1].copy()
+    a1 = sub[1:].copy()
+    sub[:1] = u[0, 0] * a0 + u[0, 1] * a1
+    sub[1:] = u[1, 0] * a0 + u[1, 1] * a1
     return state
+
+
+def sample_probabilities(probabilities, shots: int,
+                         rng=None) -> dict[int, int]:
+    """Sample ``shots`` basis outcomes from a measurement distribution.
+
+    Inverse-CDF sampling over the normalised cumulative sum, so for the
+    same ``rng`` state two correct simulators draw identical outcomes.
+    Rounding can leave the cumulative sum just short of 1; a draw past its
+    end is clamped to the last outcome of non-zero probability, never an
+    index outside the register.  ``rng`` may be a :class:`random.Random`
+    or a numpy generator (both provide ``random()``).
+    """
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    rng = rng or np.random.default_rng()
+    probabilities = np.asarray(probabilities, dtype=float)
+    total = probabilities.sum()
+    if total <= 0:
+        raise ValueError("state has zero norm; nothing to sample")
+    cumulative = np.cumsum(probabilities / total)
+    last = int(np.flatnonzero(probabilities)[-1])
+    counts: dict[int, int] = {}
+    for _ in range(shots):
+        outcome = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        outcome = min(outcome, last)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return counts
 
 
 class StatevectorSimulator:
@@ -75,13 +133,7 @@ class StatevectorSimulator:
         return outcome
 
     def sample(self, shots: int, rng: Random) -> dict[int, int]:
-        probabilities = self.probabilities()
-        counts: dict[int, int] = {}
-        cumulative = np.cumsum(probabilities)
-        for _ in range(shots):
-            outcome = int(np.searchsorted(cumulative, rng.random()))
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return counts
+        return sample_probabilities(self.probabilities(), shots, rng)
 
 
 def simulate_statevector(circuit: QuantumCircuit,

@@ -375,11 +375,10 @@ def _traced_run(circuit: QuantumCircuit, name: str, sink: JsonlTraceSink,
 def _workload_entry(workload: Workload, repeats: int,
                     gc_limit: int | None, audit: bool,
                     sink: JsonlTraceSink | None = None) -> dict:
-    """Measure one workload (both pathways); runs serially or in a worker.
+    """Measure one workload (every pathway).
 
     All wall-clock numbers come from ``stats.wall_time_seconds``, measured
-    inside the engine around the simulation alone -- so per-workload
-    timings recorded in a worker process are comparable to serial ones.
+    inside the engine around the simulation alone.
     """
     circuit = workload.build()
     fast, fast_result = _measure(circuit, use_local_apply=True,
@@ -422,20 +421,11 @@ def _workload_entry(workload: Workload, repeats: int,
     return entry
 
 
-def _bench_worker(name: str, smoke: bool, repeats: int,
-                  gc_limit: int | None, audit: bool) -> dict:
-    """Pool target: workloads hold closures, so ship the name and rebuild."""
-    workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
-    workload = next(w for w in workloads if w.name == name)
-    return _workload_entry(workload, repeats, gc_limit, audit)
-
-
 def run_bench(smoke: bool = False, repeats: int = 3,
               workload_names: list[str] | None = None,
               gc_limit: int | None = None,
               trace_path: str | None = None,
-              audit: bool = False,
-              jobs: int = 1) -> dict:
+              audit: bool = False) -> dict:
     """Run the kernel benchmark suite and return the report dict.
 
     ``gc_limit`` overrides the engines' GC node limit (exercises the memory
@@ -443,16 +433,9 @@ def run_bench(smoke: bool = False, repeats: int = 3,
     run per workload, appending tagged events to that JSONL file and a
     ``trace_summary`` per workload to the report.  ``audit`` runs the DD
     integrity auditor (untimed) on the final package of each measured arm
-    and aborts the benchmark on any violation.  ``jobs`` fans the workloads
-    out over that many worker processes (each measures on its own DD
-    packages; timings are taken in-worker); the report always lists
-    workloads in suite order, and tracing requires ``jobs=1``.
+    and aborts the benchmark on any violation.  Workloads run one after
+    another in suite order, so no two timings share the host's cores.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1 and trace_path:
-        raise ValueError("tracing requires jobs=1 (a shared JSONL trace "
-                         "would interleave across workers)")
     workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
     if workload_names:
         selected = [w for w in workloads if w.name in workload_names]
@@ -466,34 +449,20 @@ def run_bench(smoke: bool = False, repeats: int = 3,
         "repeats": repeats,
         "gc_limit": gc_limit,
         "audited": audit,
-        "jobs": jobs,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "workloads": [],
     }
-    if jobs > 1 and len(workloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(workloads))) as pool:
-            # executor.map preserves workload (suite) order in the report
-            report["workloads"] = list(pool.map(
-                _bench_worker, [w.name for w in workloads],
-                [smoke] * len(workloads), [repeats] * len(workloads),
-                [gc_limit] * len(workloads), [audit] * len(workloads)))
-    else:
-        sink = JsonlTraceSink(trace_path) if trace_path else None
-        try:
-            for workload in workloads:
-                report["workloads"].append(_workload_entry(
-                    workload, repeats, gc_limit, audit, sink))
-        finally:
-            if sink is not None:
-                sink.close()
+    sink = JsonlTraceSink(trace_path) if trace_path else None
+    try:
+        for workload in workloads:
+            report["workloads"].append(_workload_entry(
+                workload, repeats, gc_limit, audit, sink))
+    finally:
+        if sink is not None:
+            sink.close()
     if trace_path:
         report["trace_file"] = trace_path
-    # The thrash A/B compares two GC policies on one machine state; running
-    # it beside other measurements would contaminate both arms equally in
-    # the best case and unevenly in the worst, so it stays serial.
     report["thrash"] = _thrash_bench("smoke" if smoke else "full")
     report["reorder"] = _reorder_bench("smoke" if smoke else "full")
     return report
@@ -523,9 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--audit", action="store_true",
                         help="run the DD integrity auditor (untimed) after "
                              "each measured arm; abort on any violation")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="measure workloads on N worker processes "
-                             "(default 1; timings are taken in-worker)")
     parser.add_argument("--compare", default=None, metavar="BASELINE",
                         help="after measuring, compare against this baseline "
                              "report and exit non-zero on any wall-clock "
@@ -539,11 +505,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeats must be >= 1")
     if args.gc_limit is not None and args.gc_limit < 1:
         parser.error("--gc-limit must be >= 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.jobs > 1 and args.trace:
-        parser.error("--trace requires --jobs 1 (a shared JSONL trace "
-                     "would interleave across workers)")
     if args.compare_threshold < 0:
         parser.error("--compare-threshold must be >= 0")
     baseline = None
@@ -559,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_bench(smoke=args.smoke, repeats=args.repeats,
                            workload_names=args.workloads,
                            gc_limit=args.gc_limit, trace_path=args.trace,
-                           audit=args.audit, jobs=args.jobs)
+                           audit=args.audit)
     except KeyError as exc:
         parser.error(str(exc).strip('"'))
     text = json.dumps(report, indent=2, sort_keys=False)

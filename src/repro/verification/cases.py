@@ -15,6 +15,9 @@ keep QASM only as a human-readable rendering.
 the outcome against the dense statevector oracle; :func:`minimize_case`
 shrinks a failing case greedily -- gates, then qubits, then the block
 shape, then the option plan -- re-verifying the failure at every step.
+The minimizer takes its oracle as a ``fails(case)`` predicate, so the
+option-surface campaigns and the differential fuzzer (a plain circuit is
+a case with no block and the default plan) share it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from random import Random
+from typing import Callable
 
 from ..circuit.circuit import QuantumCircuit, RepeatedBlock
 from ..circuit.operation import Operation
@@ -364,15 +368,17 @@ def _plan_variants(case: FuzzCase) -> list[FuzzCase]:
     return variants
 
 
-def minimize_case(case: FuzzCase, engine_cls: type[SimulationEngine],
-                  fidelity_floor: float = FIDELITY_FLOOR) -> FuzzCase:
-    """Shrink a failing case while it keeps failing.
+def minimize_case(case: FuzzCase,
+                  fails: Callable[[FuzzCase], bool]) -> FuzzCase:
+    """Shrink a failing case while ``fails(case)`` stays true.
 
     Greedy and deterministic: gate deletion to a fixpoint, qubit
     deletion, block simplification (fewer repetitions, drop the revisit,
     drop the block), then option-plan shrinking (drop each non-default
-    option, canonicalise ``every=K`` to ``every=1``).  Every accepted
-    step re-verifies the failure, so the result is a true reproducer.
+    option, canonicalise ``every=K`` to ``every=1``), all repeated until
+    nothing shrinks.  Every accepted step re-verifies the failure, so the
+    result is a true reproducer.  The plan campaigns pass
+    ``lambda c: check_case(c, engine_cls, floor).failed``.
     """
 
     def still_fails(candidate: FuzzCase | None) -> bool:
@@ -382,7 +388,7 @@ def minimize_case(case: FuzzCase, engine_cls: type[SimulationEngine],
             candidate.validate()
         except ValueError:
             return False
-        return check_case(candidate, engine_cls, fidelity_floor).failed
+        return fails(candidate)
 
     progress = True
     while progress:

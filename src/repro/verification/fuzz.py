@@ -1,21 +1,23 @@
 """Differential fuzzing: the continuous correctness ratchet.
 
-The repo computes the same state five-plus ways (see
-:mod:`repro.backends`); this module keeps them honest *continuously*
-rather than only at the circuits the test suite happened to pin.  A
-:class:`DifferentialFuzzer` draws random Clifford+T / rotation circuits
-from a rotating seed, runs every registered backend against a reference
-(dense statevector by default), and flags any pair below the fidelity
-floor of ``1 - 1e-9`` -- the same oracle the differential test suite and
-the bench fidelity receipts use.
+The repo computes the same state four ways (see :mod:`repro.backends`);
+this module keeps them honest *continuously* rather than only at the
+circuits the test suite happened to pin.  A :class:`DifferentialFuzzer`
+draws random Clifford+T / rotation circuits from a rotating seed, runs
+every registered backend against a reference (dense statevector by
+default), and flags any pair below the fidelity floor of ``1 - 1e-9``
+-- the same oracle the differential test suite and the bench fidelity
+receipts use.
 
 A failure is only useful if a human can read it, so every failing
-circuit is **minimized** before it is reported: greedy gate deletion to a
-fixpoint (drop any gate whose removal keeps the failure), then greedy
-qubit deletion (drop a qubit and every gate touching it), then compaction
-of unused qubits.  A wrong-phase bug in a 40-gate circuit typically
-shrinks to 2-3 gates.  Minimized reproducers serialise to a JSON corpus
-(QASM plus metadata) that CI uploads as an artifact on failure.
+circuit is **minimized** before it is reported, by the same
+:func:`~repro.verification.cases.minimize_case` the option-surface
+campaigns use: greedy gate deletion (drop any gate whose removal keeps
+the failure), then greedy qubit deletion (drop a qubit and every gate
+touching it), repeated until nothing shrinks.  A wrong-phase bug in a
+40-gate circuit typically shrinks to 2-3 gates.  Minimized reproducers
+serialise to a JSON corpus (QASM plus metadata) that CI uploads as an
+artifact on failure.
 
 Entry points: ``python -m repro fuzz --budget N`` (CLI), sweep cells with
 ``kind="fuzz"`` (:func:`run_fuzz_cell`, fanned out by ``--jobs`` through
@@ -32,10 +34,12 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 from random import Random
 
+import numpy as np
+
 from ..backends import available_backends, create_backend
 from ..backends.base import BackendResult
+from ..backends.dense import DenseBackend
 from ..backends.registry import register_backend, unregister_backend
-from ..backends.tensor_slot import TensorSlotBackend
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.operation import Operation
 from ..circuit.qasm import to_qasm
@@ -44,7 +48,7 @@ from .cases import (FuzzCase, case_qasm, check_case, draw_case,
                     draw_operations, minimize_case)
 from .coverage import CoverageMap, coverage_signature
 from .mutate import mutate_case
-from .plans import engine_class
+from .plans import RunPlan, engine_class
 
 __all__ = ["BrokenPhaseBackend", "DifferentialFuzzer", "FuzzConfig",
            "FuzzFailure", "FuzzMismatch", "FuzzReport", "fuzz_circuit",
@@ -310,7 +314,7 @@ class DifferentialFuzzer:
             if verdict is None:
                 continue
             fidelity, error = verdict
-            minimized = self.minimize(circuit, name)
+            minimized = self._minimize(circuit, circuit_seed, name)
             failures.append(FuzzFailure(
                 backend=name, reference=self.config.reference,
                 kind="error" if error is not None else "fidelity",
@@ -344,65 +348,20 @@ class DifferentialFuzzer:
 
     # -- minimization ---------------------------------------------------
 
-    def minimize(self, circuit: QuantumCircuit,
-                 name: str) -> QuantumCircuit:
-        """Shrink a failing circuit while it keeps failing.
+    def _minimize(self, circuit: QuantumCircuit, seed: int,
+                  name: str) -> QuantumCircuit:
+        """Shrink a failing circuit while ``name`` keeps disagreeing:
+        :func:`minimize_case` on the circuit as a block-free case under
+        the default plan."""
+        case = FuzzCase(num_qubits=circuit.num_qubits,
+                        operations=tuple(circuit.operations()),
+                        plan=RunPlan(), seed=seed)
 
-        Greedy gate deletion to a fixpoint, then qubit deletion (a qubit
-        plus every gate touching it), then compaction of unused qubits.
-        Deterministic, and every accepted step re-verifies the failure,
-        so the result is always a true reproducer.
-        """
-        operations = list(circuit.operations())
-        num_qubits = circuit.num_qubits
+        def fails(candidate: FuzzCase) -> bool:
+            return self._disagreement(candidate.circuit(circuit.name),
+                                      name) is not None
 
-        def still_fails(ops: list, qubits: int) -> bool:
-            if not ops or qubits < 1:
-                return False
-            candidate = _circuit_from_ops(ops, qubits, circuit.name)
-            return self._disagreement(candidate, name) is not None
-
-        # pass 1: drop single gates until no single deletion keeps the bug
-        changed = True
-        while changed:
-            changed = False
-            for index in range(len(operations) - 1, -1, -1):
-                trial = operations[:index] + operations[index + 1:]
-                if still_fails(trial, num_qubits):
-                    operations = trial
-                    changed = True
-        # pass 2: drop whole qubits (and every gate touching them)
-        changed = True
-        while changed and num_qubits > 1:
-            changed = False
-            for qubit in range(num_qubits - 1, -1, -1):
-                kept = [op for op in operations
-                        if qubit not in op.qubits()]
-                trial = [_drop_qubit(op, qubit) for op in kept]
-                if still_fails(trial, num_qubits - 1):
-                    operations = trial
-                    num_qubits -= 1
-                    changed = True
-                    break
-        return _circuit_from_ops(operations, num_qubits, circuit.name)
-
-
-def _circuit_from_ops(operations: list, num_qubits: int,
-                      name: str) -> QuantumCircuit:
-    circuit = QuantumCircuit(max(1, num_qubits), name=name)
-    for operation in operations:
-        circuit.append(operation)
-    return circuit
-
-
-def _drop_qubit(operation: Operation, qubit: int) -> Operation:
-    """Re-index an operation after removing an (untouched) qubit."""
-    def shift(q: int) -> int:
-        return q - 1 if q > qubit else q
-    return Operation(operation.gate, shift(operation.target),
-                     tuple((shift(q), value)
-                           for q, value in operation.controls),
-                     operation.params)
+        return minimize_case(case, fails).circuit(circuit.name)
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +429,9 @@ def run_plans(config: FuzzConfig, budget_seconds: float | None = None,
             report.cases_skipped += 1
             continue
         if verdict.failed:
-            minimized = minimize_case(case, engine_cls,
-                                      config.fidelity_floor)
+            minimized = minimize_case(
+                case, lambda c: check_case(c, engine_cls,
+                                           config.fidelity_floor).failed)
             report.failures.append(_case_failure(
                 case, minimized, config,
                 kind="error" if verdict.error is not None else "fidelity",
@@ -528,8 +488,9 @@ def run_mutation(config: FuzzConfig, budget_seconds: float | None = None,
         if verdict.status == "skip":
             report.cases_skipped += 1
         elif verdict.failed:
-            minimized = minimize_case(case, engine_cls,
-                                      config.fidelity_floor)
+            minimized = minimize_case(
+                case, lambda c: check_case(c, engine_cls,
+                                           config.fidelity_floor).failed)
             report.failures.append(_case_failure(
                 case, minimized, config,
                 kind="error" if verdict.error is not None else "fidelity",
@@ -586,8 +547,8 @@ def replace_seed(case: FuzzCase, seed: int) -> FuzzCase:
 # the injected faulty backend (CI acceptance + selector tests)
 # ----------------------------------------------------------------------
 
-class BrokenPhaseBackend(TensorSlotBackend):
-    """Tensor-slot variant with a deliberate T-gate phase bug.
+class BrokenPhaseBackend(DenseBackend):
+    """Dense variant with a deliberate T-gate phase bug.
 
     Applies ``T`` as a pi/3 phase instead of pi/4 -- subtle enough to
     survive Clifford-only circuits (fidelity stays 1.0 without a T gate),
@@ -597,11 +558,12 @@ class BrokenPhaseBackend(TensorSlotBackend):
 
     name = "broken-phase"
 
-    def apply(self, operation: Operation) -> None:
+    def apply(self, state: np.ndarray, operation: Operation,
+              num_qubits: int) -> None:
         if operation.gate == "t":
             operation = Operation("p", operation.target,
                                   operation.controls, (math.pi / 3,))
-        super().apply(operation)
+        super().apply(state, operation, num_qubits)
 
 
 def register_broken_backend() -> str:

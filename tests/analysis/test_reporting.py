@@ -53,16 +53,16 @@ class TestMarkdown:
 
 
 def test_cli_main_runs_quick_fig5(capsys):
-    from repro.analysis.__main__ import main
+    from repro.__main__ import main
 
-    assert main(["fig5"]) == 0
+    assert main(["experiments", "fig5"]) == 0
     output = capsys.readouterr().out
     assert "Fig. 5" in output
     assert "nodes" in output
 
 
 def test_cli_markdown_flag(capsys):
-    from repro.analysis.__main__ import main
+    from repro.__main__ import main
 
-    assert main(["fig5", "--markdown"]) == 0
+    assert main(["experiments", "fig5", "--markdown"]) == 0
     assert "###" in capsys.readouterr().out

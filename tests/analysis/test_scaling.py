@@ -39,7 +39,7 @@ class TestScalingStudy:
 
 
 def test_cli_scaling_command(capsys):
-    from repro.analysis.__main__ import main
+    from repro.__main__ import main
 
-    assert main(["scaling"]) == 0
+    assert main(["experiments", "scaling"]) == 0
     assert "Scaling study" in capsys.readouterr().out

@@ -35,7 +35,7 @@ cz q[2],q[3];
 sdg q[0];
 """
 
-BUILTINS = ("dd", "dd-iterative", "dd-matrix", "dense", "tensor-slot")
+BUILTINS = ("dd", "dd-iterative", "dd-matrix", "dense")
 
 
 def fidelity_to_dense(result, circuit) -> float:
@@ -87,17 +87,6 @@ class TestProtocol:
         assert result.statistics.circuit_name == circuit.name
 
     @pytest.mark.parametrize("name", BUILTINS)
-    def test_streaming_protocol(self, name):
-        circuit = from_qasm(GHZ_QASM)
-        backend = create_backend(name)
-        backend.prepare(circuit.num_qubits)
-        for operation in circuit.operations():
-            backend.apply(operation)
-        result = backend.finalize()
-        assert abs(result.probability(0b000) - 0.5) < 1e-9
-        assert abs(result.probability(0b111) - 0.5) < 1e-9
-
-    @pytest.mark.parametrize("name", BUILTINS)
     def test_initial_basis_state(self, name):
         circuit = QuantumCircuit(2, name="idle")
         circuit.x(0)
@@ -114,13 +103,13 @@ class TestProtocol:
         from random import Random
         circuit = from_qasm(MIXED_QASM)
         counts = [create_backend(name).run(circuit).sample(64, Random(5))
-                  for name in ("dense", "tensor-slot", "dd")]
+                  for name in ("dense", "dd-iterative", "dd")]
         assert counts[0] == counts[1] == counts[2]
 
     def test_fidelity_with_cross_backend(self):
         circuit = from_qasm(GHZ_QASM)
         a = create_backend("dd").run(circuit)
-        b = create_backend("tensor-slot").run(circuit)
+        b = create_backend("dense").run(circuit)
         assert a.fidelity_with(b) >= FIDELITY_FLOOR
         assert b.fidelity_with(a) >= FIDELITY_FLOOR
 
@@ -128,7 +117,7 @@ class TestProtocol:
 class TestCapabilityValidation:
     def test_strategy_rejected_on_streaming_backends(self):
         circuit = from_qasm(GHZ_QASM)
-        for name in ("dense", "tensor-slot", "dd", "dd-iterative"):
+        for name in ("dense", "dd", "dd-iterative"):
             with pytest.raises(ValueError, match="strateg"):
                 create_backend(name).run(circuit, strategy="k=2")
 
@@ -186,17 +175,13 @@ class TestCustomBackend:
             def capabilities(self):
                 return BackendCapabilities(description="stub")
 
-            def prepare(self, num_qubits, initial_index=0):
-                self._n = num_qubits
-
-            def apply(self, operation):
-                pass
-
-            def finalize(self):
+            def run(self, circuit, strategy=None, initial_index=0,
+                    **run_options):
                 from repro.simulation.statistics import SimulationStatistics
-                vector = np.zeros(1 << self._n, dtype=complex)
+                vector = np.zeros(1 << circuit.num_qubits, dtype=complex)
                 vector[0] = 1.0
-                return ArrayResult(vector, self._n, SimulationStatistics())
+                return ArrayResult(vector, circuit.num_qubits,
+                                   SimulationStatistics())
 
         register_backend("stub", Stub, replace=True)
         try:

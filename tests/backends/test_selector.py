@@ -27,10 +27,10 @@ class TestSelection:
 
     def test_rotation_dense_8q_goes_to_flat_arrays(self):
         """Heavily-entangling rotation circuit on a small register ->
-        tensor-slot (or dense, the runner-up of the same family)."""
+        the dense flat array."""
         circuit = fuzz_circuit(8, 40, seed=11, rotation_probability=0.6)
         selection = select_backend(circuit)
-        assert selection.backend in ("tensor-slot", "dense")
+        assert selection.backend == "dense"
         assert selection.features.rotation_fraction > 0.2
 
     def test_supremacy_slice_goes_to_iterative_kernel(self):
@@ -39,9 +39,8 @@ class TestSelection:
         circuit = supremacy_circuit(3, 4, 10, seed=3).circuit
         selection = select_backend(circuit)
         assert selection.backend == "dd-iterative"
-        # 12 qubits is beyond the dense family's width cutoff
+        # 12 qubits is beyond the dense backend's width cutoff
         assert selection.scores["dense"] == 0.0
-        assert selection.scores["tensor-slot"] == 0.0
 
     def test_matrix_pathway_never_wins(self):
         for circuit in (ghz(4), fuzz_circuit(5, 30, seed=2),
@@ -81,7 +80,7 @@ class TestScores:
         from repro.analysis.predictors import circuit_features
         scores = score_backends(circuit_features(ghz(6)))
         assert set(scores) == {"dd", "dd-iterative", "dd-matrix",
-                               "dense", "tensor-slot"}
+                               "dense"}
         assert all(0.0 <= score <= 1.5 for score in scores.values())
 
     def test_gate_count_flips_dd_to_iterative(self):

@@ -1,5 +1,6 @@
 """The dense numpy comparator itself must be trustworthy."""
 
+import math
 from random import Random
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 
 from repro.baseline import (StatevectorSimulator, apply_operation,
                             simulate_statevector)
+from repro.baseline.statevector import sample_probabilities
 from repro.circuit import Operation, QuantumCircuit
+
+
+class TopDraw:
+    """An rng whose every draw is the largest float below 1."""
+
+    def random(self):
+        return math.nextafter(1.0, 0.0)
 
 
 class TestApplyOperation:
@@ -38,6 +47,58 @@ class TestApplyOperation:
         state[0] = 1
         apply_operation(state, Operation("h", 0), 1)
         assert np.allclose(np.abs(state), [2 ** -0.5] * 2)
+
+    def test_non_contiguous_state_rejected(self):
+        # the update goes through a reshaped view; a strided array would
+        # be reshaped into a copy and the caller's state left untouched
+        state = np.zeros(8, dtype=complex)[::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            apply_operation(state, Operation("h", 0), 2)
+
+    def test_qubit_outside_register_rejected(self):
+        state = np.zeros(4, dtype=complex)
+        state[0] = 1
+        with pytest.raises(ValueError, match="exceeds"):
+            apply_operation(state, Operation("x", 2), 2)
+        with pytest.raises(ValueError, match="exceeds"):
+            apply_operation(state, Operation("x", 0, controls=(3,)), 2)
+        assert state[0] == 1
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 5])
+    def test_bit_identical_to_index_arrays(self, num_qubits):
+        """Axis slicing does the same arithmetic as the gather/scatter
+        update it replaced, so amplitudes must match exactly -- including
+        gates whose target and controls cover the whole register."""
+        rng = Random(num_qubits)
+        state = np.zeros(1 << num_qubits, dtype=complex)
+        state[rng.randrange(1 << num_qubits)] = 1
+        reference = state.copy()
+        for _ in range(60):
+            qubits = rng.sample(range(num_qubits),
+                                rng.randint(1, num_qubits))
+            gate = rng.choice(["h", "t", "sx", "rx", "ry"])
+            params = (rng.uniform(0, 6),) if gate in ("rx", "ry") else ()
+            operation = Operation(gate, qubits[0],
+                                  tuple((q, rng.randint(0, 1))
+                                        for q in qubits[1:]), params)
+            apply_operation(state, operation, num_qubits)
+            gather_scatter(reference, operation)
+        assert np.array_equal(state, reference)
+
+
+def gather_scatter(state, operation):
+    """Reference update through index arrays (no views)."""
+    u = operation.matrix()
+    indices = np.arange(state.shape[0])
+    selected = ((indices >> operation.target) & 1) == 0
+    for qubit, value in operation.controls:
+        selected &= ((indices >> qubit) & 1) == value
+    i0 = indices[selected]
+    i1 = i0 | (1 << operation.target)
+    a0 = state[i0]
+    a1 = state[i1]
+    state[i0] = u[0, 0] * a0 + u[0, 1] * a1
+    state[i1] = u[1, 0] * a0 + u[1, 1] * a1
 
 
 class TestSimulator:
@@ -86,6 +147,24 @@ class TestSimulator:
         counts = simulator.sample(100, Random(2))
         assert sum(counts.values()) == 100
         assert set(counts) <= {0, 1}
+
+    def test_sample_stays_inside_register(self):
+        # seven rx/ry layers leave probabilities that sum to 1 - 1.1e-15;
+        # searching the raw cumulative sum sent the top draw to index 4
+        simulator = StatevectorSimulator(2)
+        for _ in range(7):
+            simulator.apply(Operation("rx", 0, params=(0.3,)))
+            simulator.apply(Operation("ry", 1, params=(1.1,)))
+        assert simulator.probabilities().sum() < 1.0
+        assert simulator.sample(3, TopDraw()) == {3: 3}
+
+    def test_sample_skips_zero_probability_tail(self):
+        # the normalised cumulative sum ends at 1 - 2.2e-16 here, so the
+        # top draw runs past it; it must land on the last outcome that
+        # can occur, not on the zero-probability basis state after it
+        probabilities = [0.39729834349081705, 0.14698535255311235,
+                         0.3660418526163628, 0.0896744513397079, 0.0]
+        assert sample_probabilities(probabilities, 2, TopDraw()) == {3: 2}
 
     def test_norm_preserved_through_circuit(self):
         qc = QuantumCircuit(3)

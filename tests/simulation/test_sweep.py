@@ -332,13 +332,13 @@ class TestBackendAxis:
         from repro.analysis.instances import (get_instance,
                                               instance_task_spec)
         instance = get_instance("grover_8")
-        task = SweepTask(name="grover_8@tensor-slot",
+        task = SweepTask(name="grover_8@dense",
                          strategy="sequential", kind="instance",
                          metadata=instance_task_spec(instance),
-                         backend="tensor-slot")
+                         backend="dense")
         result = run_cell(task, in_worker=False)
         assert result.status == "ok"
-        assert result.statistics["backend"] == "tensor-slot"
+        assert result.statistics["backend"] == "dense"
 
     def test_instance_cell_falls_back_to_registry_name(self):
         task = SweepTask(name="grover_8@dd", strategy="sequential",

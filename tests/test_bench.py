@@ -70,34 +70,6 @@ class TestRunBench:
         with pytest.raises(KeyError):
             run_bench(smoke=True, workload_names=["nope"])
 
-    def test_parallel_jobs_preserve_order_and_schema(self):
-        report = run_bench(smoke=True, repeats=1,
-                           workload_names=["grover_8", "qft_10"], jobs=2)
-        assert report["jobs"] == 2
-        # suite order, not completion order
-        assert [w["name"] for w in report["workloads"]] == \
-            ["grover_8", "qft_10"]
-        for entry in report["workloads"]:
-            assert REQUIRED_WORKLOAD_KEYS <= set(entry)
-            # per-workload wall clock was measured in the worker
-            assert entry["fast_path"]["wall_seconds_best"] > 0
-
-    def test_parallel_counters_match_serial(self):
-        serial = run_bench(smoke=True, repeats=1,
-                           workload_names=["qft_10"])
-        parallel = run_bench(smoke=True, repeats=1,
-                             workload_names=["grover_8", "qft_10"], jobs=2)
-        a = serial["workloads"][0]["matrix_path"]
-        b = parallel["workloads"][1]["matrix_path"]
-        # machine-independent fields are process-independent too
-        assert a["matrix_vector_mults"] == b["matrix_vector_mults"]
-        assert a["peak_state_nodes"] == b["peak_state_nodes"]
-        assert a["final_state_nodes"] == b["final_state_nodes"]
-
-    def test_trace_with_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs=1"):
-            run_bench(smoke=True, trace_path="x.jsonl", jobs=2)
-
     def test_tight_gc_limit_records_collections(self):
         report = run_bench(smoke=True, repeats=1,
                            workload_names=["grover_8"], gc_limit=64)

@@ -222,6 +222,19 @@ class TestExperimentsCli:
         assert main(["experiments", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_write_experiments_writes_output(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the real generator runs every paper experiment; the CLI only
+        # has to route the profile in and the document out
+        from repro.analysis import experiments_md
+        monkeypatch.setattr(experiments_md, "generate_experiments_md",
+                            lambda profile: f"# EXPERIMENTS ({profile})\n")
+        target = tmp_path / "EXPERIMENTS.md"
+        assert main(["experiments", "write-experiments", "--profile",
+                     "default", "--output", str(target)]) == 0
+        assert target.read_text() == "# EXPERIMENTS (default)\n"
+        assert str(target) in capsys.readouterr().out
+
 
 class TestBackendCli:
     def test_explicit_backend(self, bell_file, capsys):
