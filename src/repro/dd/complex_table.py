@@ -27,6 +27,13 @@ __all__ = ["ComplexTable", "DEFAULT_TOLERANCE"]
 #: amplitude an experiment would report.
 DEFAULT_TOLERANCE = 1e-10
 
+#: Values every simulation touches -- 0, +-1, +-i, +-sqrt(1/2), +-1/2 --
+#: seeded into every fresh or cleared table so they are stable anchors
+#: regardless of lookup order.
+_ANCHORS = (0j, 1 + 0j, -1 + 0j, 1j, -1j,
+            complex(math.sqrt(0.5), 0), complex(-math.sqrt(0.5), 0),
+            complex(0.5, 0), complex(-0.5, 0))
+
 _NEIGHBOUR_OFFSETS = (
     (0, 0),
     (-1, -1), (-1, 0), (-1, 1),
@@ -57,14 +64,7 @@ class ComplexTable:
         # answers stay valid until clear().
         self._exact: dict[complex, complex] = {}
         self._exact_limit = 1 << 18
-        self.hits = 0
-        self.misses = 0
-        # Pre-seed the values every simulation touches so they are stable
-        # anchors regardless of lookup order.
-        for seed in (0j, 1 + 0j, -1 + 0j, 1j, -1j,
-                     complex(math.sqrt(0.5), 0), complex(-math.sqrt(0.5), 0),
-                     complex(0.5, 0), complex(-0.5, 0)):
-            self.lookup(seed)
+        self.clear()  # zeroes hits/misses and seeds the anchors
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -152,13 +152,13 @@ class ComplexTable:
             self.lookup(complex(entry[0], entry[1]))
 
     def clear(self) -> None:
-        """Drop all interned values (used when resetting a package)."""
+        """Drop all interned values but the anchors: the table is as new."""
         self._buckets.clear()
         self._exact.clear()
         self.hits = 0
         self.misses = 0
-        self.lookup(0j)
-        self.lookup(1 + 0j)
+        for anchor in _ANCHORS:
+            self.lookup(anchor)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ComplexTable(entries={len(self)}, hits={self.hits}, "

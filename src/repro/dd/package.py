@@ -698,7 +698,10 @@ class Package:
         is applied once at the target level, and levels below are only
         touched when a control sits there.  Results are identical to
         ``multiply_matrix_vector(build_gate_dd(...), v)`` up to the complex
-        table's tolerance.
+        table's tolerance, and node for node: every weight handed to the
+        node constructor is a complex-table representative, so the two
+        paths share nodes alike (``tests/dd/test_apply_gate.py`` compares
+        their node counts after every gate of long Grover runs).
 
         Parameters
         ----------
@@ -826,9 +829,13 @@ class Package:
         e0, e1 = vn.edges
         level = vn.level
         if level > target:
-            # Structural copy above the target.  Weight products stay raw
-            # (not re-interned): make_vector_node canonicalises the ratios
-            # once, instead of interning here and again after normalising.
+            # Structural copy above the target.  Each child weight is
+            # interned before it reaches make_vector_node, which snaps only
+            # the ratio and the norm and so needs table representatives:
+            # with raw products, two representatives of one value (e.g.
+            # sqrt(1/2) and sqrt(1/2) - 1.6e-10) yield ratios just outside
+            # the tolerance of 1, each becomes a new representative, and
+            # nodes that should be shared stop comparing equal.
             active = control_map.get(level)
             if active is None:
                 if e0.weight == 0:
@@ -836,13 +843,13 @@ class Package:
                 else:
                     sub = rec(e0.node, u, target, control_map,
                               lower, gate_id, proj_id)
-                    t0 = Edge(sub.node, sub.weight * e0.weight)
+                    t0 = self._scaled(sub, e0.weight)
                 if e1.weight == 0:
                     t1 = self.zero
                 else:
                     sub = rec(e1.node, u, target, control_map,
                               lower, gate_id, proj_id)
-                    t1 = Edge(sub.node, sub.weight * e1.weight)
+                    t1 = self._scaled(sub, e1.weight)
             elif active == 1:
                 t0 = e0
                 if e1.weight == 0:
@@ -850,14 +857,14 @@ class Package:
                 else:
                     sub = rec(e1.node, u, target, control_map,
                               lower, gate_id, proj_id)
-                    t1 = Edge(sub.node, sub.weight * e1.weight)
+                    t1 = self._scaled(sub, e1.weight)
             else:
                 if e0.weight == 0:
                     t0 = self.zero
                 else:
                     sub = rec(e0.node, u, target, control_map,
                               lower, gate_id, proj_id)
-                    t0 = Edge(sub.node, sub.weight * e0.weight)
+                    t0 = self._scaled(sub, e0.weight)
                 t1 = e1
             result = self.make_vector_node(level, (t0, t1))
         elif not lower:
@@ -924,25 +931,25 @@ class Package:
                 t0 = self.zero
             else:
                 sub = rec(e0.node, lower, lowest, proj_id)
-                t0 = Edge(sub.node, sub.weight * e0.weight)
+                t0 = self._scaled(sub, e0.weight)
             if e1.weight == 0:
                 t1 = self.zero
             else:
                 sub = rec(e1.node, lower, lowest, proj_id)
-                t1 = Edge(sub.node, sub.weight * e1.weight)
+                t1 = self._scaled(sub, e1.weight)
         elif active == 1:
             t0 = self.zero
             if e1.weight == 0:
                 t1 = self.zero
             else:
                 sub = rec(e1.node, lower, lowest, proj_id)
-                t1 = Edge(sub.node, sub.weight * e1.weight)
+                t1 = self._scaled(sub, e1.weight)
         else:
             if e0.weight == 0:
                 t0 = self.zero
             else:
                 sub = rec(e0.node, lower, lowest, proj_id)
-                t0 = Edge(sub.node, sub.weight * e0.weight)
+                t0 = self._scaled(sub, e0.weight)
             t1 = self.zero
         result = self.make_vector_node(level, (t0, t1))
         current = entries[slot]

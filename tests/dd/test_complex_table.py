@@ -102,6 +102,16 @@ class TestHousekeeping:
         assert table.lookup(0j) == 0j
         assert table.lookup(1 + 0j) == 1 + 0j
 
+    def test_cleared_table_equals_fresh(self):
+        table = ComplexTable()
+        table.lookup(0.123 + 0.456j)
+        table.clear()
+        fresh = ComplexTable()
+        assert table.state_dict() == fresh.state_dict()
+        # the first noisy sqrt(1/2) after a clear snaps to the anchor
+        noisy = complex(math.sqrt(0.5) - 1e-11, 0)
+        assert table.lookup(noisy) == complex(math.sqrt(0.5), 0)
+
     def test_len_counts_entries(self):
         table = ComplexTable()
         before = len(table)

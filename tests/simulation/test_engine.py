@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from repro.algorithms.grover import grover_circuit
 from repro.circuit import Operation, QuantumCircuit
 from repro.dd import Package, vector_to_numpy
 from repro.simulation import (SequentialStrategy, SimulationEngine,
@@ -175,6 +176,21 @@ class TestLocalApplyFastPath:
         engine = SimulationEngine(use_local_apply=True)
         engine.simulate(self._random_circuit())
         assert not engine._gate_cache
+
+    def test_fast_path_keeps_node_sharing_on_grover(self):
+        """Grover-11, marked 1331: raw weight products in the fast path
+        pile up near-duplicate representatives of 1 in the complex table,
+        and the state grows from 30 to ~2040 nodes."""
+        qc = grover_circuit(11, 1331).circuit
+        engine = SimulationEngine()
+        fast = engine.simulate(qc, SequentialStrategy()).statistics
+        matrix = SimulationEngine(use_local_apply=False).simulate(
+            qc, SequentialStrategy()).statistics
+        assert fast.peak_state_nodes == matrix.peak_state_nodes
+        near_one = [(re, im) for re, im
+                    in engine.package.complex_table.state_dict()
+                    if abs(complex(re, im) - 1) < 1e-8]
+        assert near_one == [(1.0, 0.0)]
 
 
 class TestSimulationResult:
