@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.operation import Operation
 from ..dd.edge import Edge
 from ..dd.function_construction import (build_controlled_permutation_dd,
                                         build_permutation_dd,
@@ -33,7 +34,7 @@ from ..dd.function_construction import (build_controlled_permutation_dd,
                                         modular_multiplication_permutation)
 from ..dd.gate_building import build_gate_dd
 from ..dd.measurement import measure_qubit
-from ..simulation.engine import SimulationEngine
+from ..simulation.engine import SimulationEngine, cyclic_gc_paused
 from ..simulation.statistics import SimulationStatistics
 from ..simulation.strategies import SequentialStrategy, SimulationStrategy
 from .arithmetic import append_controlled_ua
@@ -182,10 +183,16 @@ class ShorOrderFinder:
             f"shor_{self.modulus}_{self.base}")
         rng = Random(self.seed)
         started = time.perf_counter()
-        if self.mode == "gates":
-            bits = self._run_gates(result, rng)
-        else:
-            bits = self._run_construct(result, rng)
+        # One pause around all 2n segments: re-enabling the collector
+        # after each segment let it walk every DD object the earlier
+        # segments left alive (~300 passes per Table II batch).  The one
+        # pass it owes once re-enabled starts in the post-processing
+        # below, so it is charged to this run, not to the caller.
+        with cyclic_gc_paused():
+            if self.mode == "gates":
+                bits = self._run_gates(result, rng)
+            else:
+                bits = self._run_construct(result, rng)
         result.statistics.wall_time_seconds = time.perf_counter() - started
         result.phase_bits = bits
         result.measured_value = sum(bit << k for k, bit in enumerate(bits))
@@ -223,27 +230,35 @@ class ShorOrderFinder:
         result.statistics.num_qubits = num_qubits
         # |x = 1>, everything else 0.
         state = package.basis_state(num_qubits, 1 << layout.x_register[0])
+        hadamard = Operation("h", control)
+        flip = Operation("x", control)
+        # One oracle circuit per distinct multiplier (repeated squaring
+        # mod N cycles, so the 2n powers a^(2^k) take few values):
+        # segments with the same multiplier share its Operation objects,
+        # which also keeps the engine's id-keyed gate caches hot.
+        oracles: dict[int, list] = {}
         bits: list[int] = []
         for multiplier in self._multipliers():
+            oracle = oracles.get(multiplier)
+            if oracle is None:
+                oracle = controlled_ua_circuit(self.modulus, multiplier,
+                                               layout).instructions
+                oracles[multiplier] = oracle
             segment = QuantumCircuit(num_qubits,
                                      name=result.statistics.circuit_name)
-            segment.h(control)
-            append_controlled_ua(segment, control, list(layout.x_register),
-                                 list(layout.b_register), multiplier,
-                                 self.modulus, layout.ancilla)
+            segment.instructions = [hadamard, *oracle]
             angle = self._correction_angle(bits)
             if angle != 0.0:
                 segment.p(angle, control)
-            segment.h(control)
+            segment.append(hadamard)
             run = engine.simulate(segment, self.strategy,
                                   initial_state=state)
             result.statistics.merge(run.statistics)
             bit, state, _ = measure_qubit(package, run.state, control, rng)
             if bit:
                 # Reset the control for the next round.
-                flip = engine.gate_dd(
-                    _x_operation(control), num_qubits)
-                state = package.multiply_matrix_vector(flip, state)
+                state = package.multiply_matrix_vector(
+                    engine.gate_dd(flip, num_qubits), state)
             bits.append(bit)
         result.statistics.final_state_nodes = package.count_nodes(state)
         return bits
@@ -297,12 +312,6 @@ class ShorOrderFinder:
         result.statistics.matrix_vector_mults += 1
         result.statistics.record_state_size(package.count_nodes(state))
         return state
-
-
-def _x_operation(target: int):
-    from ..circuit.operation import Operation
-
-    return Operation("x", target)
 
 
 _H_MATRIX = [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -(2 ** -0.5)]]

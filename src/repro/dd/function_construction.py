@@ -56,35 +56,39 @@ def build_permutation_dd(package: Package,
     """
     size = 1 << num_qubits
     table = _as_permutation(perm, size)
-
-    def build(level: int, col_base: int) -> dict[int, Edge]:
-        """Blocks for columns ``[col_base, col_base + 2^(level+1))``.
-
-        Returns ``{row_prefix: block_edge}`` where ``row_prefix`` is aligned
-        to the block span and only non-zero blocks are present.
-        """
-        if level < 0:
-            return {table[col_base]: package.one}
-        span = 1 << level
-        left = build(level - 1, col_base)
-        right = build(level - 1, col_base + span)
-        blocks: dict[int, Edge] = {}
-        prefixes = {p & ~(2 * span - 1) for p in left} \
-            | {p & ~(2 * span - 1) for p in right}
-        for prefix in prefixes:
-            children = []
-            for row_bit in (0, 1):
-                sub_prefix = prefix | (row_bit * span)
-                children.append(left.get(sub_prefix, package.zero))
-                children.append(right.get(sub_prefix, package.zero))
-            blocks[prefix] = package.make_matrix_node(level, tuple(children))
-        return blocks
-
-    blocks = build(num_qubits - 1, 0)
+    blocks = _permutation_blocks(package, table, num_qubits - 1, 0)
     if list(blocks.keys()) != [0]:
         raise AssertionError("permutation DD construction must yield exactly "
                              "the root block")  # pragma: no cover
     return blocks[0]
+
+
+def _permutation_blocks(package: Package, table: list[int], level: int,
+                        col_base: int) -> dict[int, Edge]:
+    """Blocks for columns ``[col_base, col_base + 2^(level+1))``.
+
+    Returns ``{row_prefix: block_edge}`` where ``row_prefix`` is aligned to
+    the block span and only non-zero blocks are present.  A module-level
+    function rather than a nested one: a self-calling closure forms a
+    reference cycle that keeps ``package`` alive until the cyclic
+    collector runs.
+    """
+    if level < 0:
+        return {table[col_base]: package.one}
+    span = 1 << level
+    left = _permutation_blocks(package, table, level - 1, col_base)
+    right = _permutation_blocks(package, table, level - 1, col_base + span)
+    blocks: dict[int, Edge] = {}
+    prefixes = {p & ~(2 * span - 1) for p in left} \
+        | {p & ~(2 * span - 1) for p in right}
+    for prefix in prefixes:
+        children = []
+        for row_bit in (0, 1):
+            sub_prefix = prefix | (row_bit * span)
+            children.append(left.get(sub_prefix, package.zero))
+            children.append(right.get(sub_prefix, package.zero))
+        blocks[prefix] = package.make_matrix_node(level, tuple(children))
+    return blocks
 
 
 def build_controlled_permutation_dd(package: Package,

@@ -26,27 +26,84 @@ __all__ = [
 ]
 
 
+# The recursive helpers below live at module level and take their memo as
+# an argument: a nested function that calls itself holds its own closure
+# cell, and that function<->cell cycle would keep the memo (and for the
+# projection the whole package) alive until the cyclic collector runs --
+# which the engine and Shor's order finder pause on purpose.
+
+def _norm2(node, cache: dict[int, float]) -> float:
+    """Squared norm of the (weight-1) sub-vector under ``node``, memoised."""
+    if node.level == -1:
+        return 1.0
+    ident = id(node)
+    found = cache.get(ident)
+    if found is not None:
+        return found
+    total = 0.0
+    for child in node.edges:
+        if child.weight != 0:
+            total += abs(child.weight) ** 2 * _norm2(child.node, cache)
+    cache[ident] = total
+    return total
+
+
 def _norm2_map(state: Edge) -> dict[int, float]:
     """Squared norm of the (weight-1) sub-vector under each node."""
     cache: dict[int, float] = {}
-
-    def norm2(node) -> float:
-        if node.level == -1:
-            return 1.0
-        ident = id(node)
-        found = cache.get(ident)
-        if found is not None:
-            return found
-        total = 0.0
-        for child in node.edges:
-            if child.weight != 0:
-                total += abs(child.weight) ** 2 * norm2(child.node)
-        cache[ident] = total
-        return total
-
     if state.weight != 0:
-        norm2(state.node)
+        _norm2(state.node, cache)
     return cache
+
+
+def _one_mass(node, qubit: int, norms: dict[int, float],
+              cache: dict[int, float]) -> float:
+    """Unnormalised probability mass with ``qubit = 1`` under ``node``."""
+    if node.level == qubit:
+        child = node.edges[1]
+        if child.weight == 0:
+            return 0.0
+        return abs(child.weight) ** 2 * _norm2(child.node, norms)
+    ident = id(node)
+    found = cache.get(ident)
+    if found is not None:
+        return found
+    total = 0.0
+    for child in node.edges:
+        if child.weight != 0:
+            total += abs(child.weight) ** 2 * _one_mass(child.node, qubit,
+                                                        norms, cache)
+    cache[ident] = total
+    return total
+
+
+def _project(package: Package, node, qubit: int, value: int,
+             cache: dict[int, Edge]) -> Edge:
+    """The sub-vector under ``node`` with ``qubit`` fixed to ``value``."""
+    if node.level < qubit:
+        # Only reachable through zero stubs; cannot happen for the
+        # quasi-reduced non-zero paths this walks.
+        return package.one
+    ident = id(node)
+    found = cache.get(ident)
+    if found is not None:
+        return found
+    if node.level == qubit:
+        kept = node.edges[value]
+        children = (kept, package.zero) if value == 0 \
+            else (package.zero, kept)
+        result = package.make_vector_node(node.level, children)
+    else:
+        projected = []
+        for child in node.edges:
+            if child.weight == 0:
+                projected.append(package.zero)
+            else:
+                sub = _project(package, child.node, qubit, value, cache)
+                projected.append(package._scaled(sub, child.weight))
+        result = package.make_vector_node(node.level, tuple(projected))
+    cache[ident] = result
+    return result
 
 
 def qubit_probability(package: Package, state: Edge, qubit: int) -> float:
@@ -60,35 +117,11 @@ def qubit_probability(package: Package, state: Edge, qubit: int) -> float:
     if not 0 <= qubit <= state.node.level:
         raise ValueError(f"qubit {qubit} out of range")
     norms = _norm2_map(state)
-
-    def norm2(node) -> float:
-        return 1.0 if node.level == -1 else norms[id(node)]
-
-    cache: dict[int, float] = {}
-
-    def one_mass(node) -> float:
-        """Unnormalised probability mass with ``qubit = 1`` under ``node``."""
-        if node.level == qubit:
-            child = node.edges[1]
-            if child.weight == 0:
-                return 0.0
-            return abs(child.weight) ** 2 * norm2(child.node)
-        ident = id(node)
-        found = cache.get(ident)
-        if found is not None:
-            return found
-        total = 0.0
-        for child in node.edges:
-            if child.weight != 0:
-                total += abs(child.weight) ** 2 * one_mass(child.node)
-        cache[ident] = total
-        return total
-
-    total_norm = abs(state.weight) ** 2 * norm2(state.node)
+    total_norm = abs(state.weight) ** 2 * _norm2(state.node, norms)
     if total_norm <= 0:
         raise ValueError("state has zero norm")
-    return min(1.0, max(0.0,
-                        abs(state.weight) ** 2 * one_mass(state.node) / total_norm))
+    one = _one_mass(state.node, qubit, norms, {})
+    return min(1.0, max(0.0, abs(state.weight) ** 2 * one / total_norm))
 
 
 def project_qubit(package: Package, state: Edge, qubit: int, value: int,
@@ -100,37 +133,10 @@ def project_qubit(package: Package, state: Edge, qubit: int, value: int,
     """
     if value not in (0, 1):
         raise ValueError("measurement value must be 0 or 1")
-    cache: dict[int, Edge] = {}
-
-    def project(node) -> Edge:
-        if node.level < qubit:
-            # Only reachable through zero stubs; cannot happen for the
-            # quasi-reduced non-zero paths this walks.
-            return package.one
-        ident = id(node)
-        found = cache.get(ident)
-        if found is not None:
-            return found
-        if node.level == qubit:
-            kept = node.edges[value]
-            children = (kept, package.zero) if value == 0 \
-                else (package.zero, kept)
-            result = package.make_vector_node(node.level, children)
-        else:
-            children = []
-            for child in node.edges:
-                if child.weight == 0:
-                    children.append(package.zero)
-                else:
-                    sub = project(child.node)
-                    children.append(package._scaled(sub, child.weight))
-            result = package.make_vector_node(node.level, tuple(children))
-        cache[ident] = result
-        return result
-
     if state.weight == 0:
         return package.zero
-    projected = package._scaled(project(state.node), state.weight)
+    projected = package._scaled(
+        _project(package, state.node, qubit, value, {}), state.weight)
     if projected.weight == 0 or not renormalise:
         return projected
     norm = math.sqrt(package.squared_norm(projected))
@@ -158,10 +164,6 @@ def sample_bitstring(package: Package, state: Edge, rng: Random) -> int:
     if state.weight == 0:
         raise ValueError("cannot sample from the zero vector")
     norms = _norm2_map(state)
-
-    def norm2(node) -> float:
-        return 1.0 if node.level == -1 else norms[id(node)]
-
     index = 0
     node = state.node
     while node.level != -1:
@@ -170,7 +172,8 @@ def sample_bitstring(package: Package, state: Edge, rng: Random) -> int:
             if child.weight == 0:
                 masses.append(0.0)
             else:
-                masses.append(abs(child.weight) ** 2 * norm2(child.node))
+                masses.append(abs(child.weight) ** 2
+                              * _norm2(child.node, norms))
         total = masses[0] + masses[1]
         bit = 1 if rng.random() * total >= masses[0] else 0
         if masses[bit] == 0.0:

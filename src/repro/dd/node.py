@@ -43,12 +43,11 @@ TERMINAL = Terminal()
 class VectorNode:
     """A state-vector DD node with two successors (``|0>`` and ``|1>`` halves)."""
 
-    __slots__ = ("level", "edges", "ref_count", "serial", "__weakref__")
+    __slots__ = ("level", "edges", "serial", "__weakref__")
 
     def __init__(self, level: int, edges: tuple[Edge, Edge]) -> None:
         self.level = level
         self.edges = edges
-        self.ref_count = 0
         # Interning order, assigned by the unique table.  Used wherever
         # two nodes must be ordered canonically: unlike ``id()``, the
         # creation order is a pure function of the operation stream, so
@@ -74,12 +73,11 @@ class VectorNode:
 class MatrixNode:
     """A matrix DD node with four successors (quadrants M00, M01, M10, M11)."""
 
-    __slots__ = ("level", "edges", "ref_count", "serial", "__weakref__")
+    __slots__ = ("level", "edges", "serial", "__weakref__")
 
     def __init__(self, level: int, edges: tuple[Edge, Edge, Edge, Edge]) -> None:
         self.level = level
         self.edges = edges
-        self.ref_count = 0
         self.serial = 0  # interning order; see VectorNode.serial
 
     def quadrant(self, row_bit: int, col_bit: int) -> Edge:

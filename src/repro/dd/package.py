@@ -1049,32 +1049,34 @@ class Package:
         if ket.node.level != bra.node.level:
             raise ValueError("outer product of states with different "
                              "qubit counts")
+        return self._scaled(self._outer(ket.node, bra.node),
+                            ket.weight * bra.weight.conjugate())
+
+    def _outer(self, kn, bn) -> Edge:
+        # A method, not a nested closure: a self-calling closure forms a
+        # function<->cell cycle that keeps the package alive until the
+        # cyclic collector runs.
+        if kn.level == -1:
+            return self.one
         cache = self.tables.kron_mat  # reuse a matrix cache with a tag
-        w = ket.weight * bra.weight.conjugate()
-
-        def build(kn, bn) -> Edge:
-            if kn.level == -1:
-                return self.one
-            key = ("outer", kn, bn)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            children = []
-            for row in (0, 1):
-                for col in (0, 1):
-                    k_child = kn.edges[row]
-                    b_child = bn.edges[col]
-                    weight = k_child.weight * b_child.weight.conjugate()
-                    if weight == 0:
-                        children.append(self.zero)
-                    else:
-                        children.append(self._scaled(
-                            build(k_child.node, b_child.node), weight))
-            result = self.make_matrix_node(kn.level, tuple(children))
-            cache.put(key, result)
-            return result
-
-        return self._scaled(build(ket.node, bra.node), w)
+        key = ("outer", kn, bn)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+        children = []
+        for row in (0, 1):
+            for col in (0, 1):
+                k_child = kn.edges[row]
+                b_child = bn.edges[col]
+                weight = k_child.weight * b_child.weight.conjugate()
+                if weight == 0:
+                    children.append(self.zero)
+                else:
+                    children.append(self._scaled(
+                        self._outer(k_child.node, b_child.node), weight))
+        result = self.make_matrix_node(kn.level, tuple(children))
+        cache.put(key, result)
+        return result
 
     def inner_product(self, a: Edge, b: Edge) -> complex:
         """``<a|b>`` of two state DDs of equal qubit count."""
@@ -1154,47 +1156,39 @@ class Package:
         This is the size measure the *max-size* strategy is parametrised on.
         """
         if type(edge) is DenseState:
-            # A dense block has no nodes; report its non-zero amplitude
-            # count as a comparable "state size" proxy (materialising the
-            # DD just to count it would defeat the dense fast path).
+            # A dense block has no nodes; report its capacity (the
+            # amplitude count it holds) as the state-size proxy --
+            # materialising or scanning the block on every step would
+            # defeat the dense fast path.
             return edge.size_proxy()
         if type(edge) is FlatEdge:
             return 0 if edge.weight == 0 else self.flat.count_nodes(edge.index)
         if edge.weight == 0 or edge.node.level == -1:
             return 0
-        root = edge.node
-        seen: set[int] = {id(root)}
-        seen_add = seen.add
-        stack = [root]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            edges = pop().edges
-            # Unrolled for the dominant binary (vector-node) case; this
-            # runs after every simulation step, so loop overhead matters.
-            if len(edges) == 2:
-                c0, c1 = edges
-                cn = c0.node
-                if c0.weight != 0 and cn.level != -1:
-                    ident = id(cn)
-                    if ident not in seen:
-                        seen_add(ident)
-                        push(cn)
-                cn = c1.node
-                if c1.weight != 0 and cn.level != -1:
-                    ident = id(cn)
-                    if ident not in seen:
-                        seen_add(ident)
-                        push(cn)
-            else:
-                for child in edges:
-                    cn = child.node
-                    if child.weight != 0 and cn.level != -1:
-                        ident = id(cn)
-                        if ident not in seen:
-                            seen_add(ident)
-                            push(cn)
-        return len(seen)
+        frontier = {edge.node}
+        if self.identity_edges and type(edge.node) is MatrixNode:
+            # Identity-skipping edges leave level gaps, so one node can
+            # sit at two depths below the root: dedupe across levels.
+            seen: set = set()
+            while frontier:
+                seen |= frontier
+                frontier = {child.node for node in frontier
+                            for child in node.edges}
+                frontier.discard(TERMINAL)
+                frontier -= seen
+            return len(seen)
+        # One level at a time: zero stubs point at the terminal and every
+        # non-zero child sits exactly one level down (both audited by
+        # check_invariants), so each frontier is exactly the set of nodes
+        # on one level.  This runs after every simulation step; a set
+        # comprehension per level beats a per-child Python walk.
+        count = 0
+        while frontier:
+            count += len(frontier)
+            frontier = {child.node for node in frontier
+                        for child in node.edges}
+            frontier.discard(TERMINAL)
+        return count
 
     def clear_compute_tables(self) -> int:
         """Drop all memoisation caches; returns total entries dropped.

@@ -59,7 +59,28 @@ from .statistics import SimulationStatistics
 from .strategies import (SequentialStrategy, SimulationStrategy,
                          strategy_from_spec)
 
-__all__ = ["SimulationEngine"]
+__all__ = ["SimulationEngine", "cyclic_gc_paused"]
+
+
+class cyclic_gc_paused:
+    """Pause Python's cyclic collector for a block; restore the caller's state.
+
+    DDs are acyclic (nodes only reference lower levels), so reference
+    counting reclaims everything and the cyclic collector only adds
+    passes over every live DD object to an allocation-heavy loop.  Nested
+    pauses are no-ops, so a driver that runs many simulations (Shor's 2n
+    segments) pauses once around all of them.  The collector is
+    re-enabled last on exit, also when the block raises, so no collection
+    starts inside the block.
+    """
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 class _Run:
@@ -562,29 +583,23 @@ class SimulationEngine:
         resilient = (checkpoint_path is not None or audit_every is not None
                      or start_index > 0 or pending is not None
                      or bool(strategy_state))
-        # DDs are acyclic (nodes only reference lower levels), so reference
-        # counting reclaims everything and the cyclic collector only adds
-        # per-allocation overhead to this very allocation-heavy loop.
-        # Pausing it is worth ~20% wall-clock on sequential simulation.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        started = time.perf_counter()
-        run._started = started
-        try:
-            if resilient:
-                self._run_ops(run, strategy, circuit,
-                              start_index=start_index, pending=pending,
-                              strategy_state=strategy_state,
-                              checkpoint_path=checkpoint_path,
-                              checkpoint_every=checkpoint_every,
-                              audit_every=audit_every)
-            else:
-                strategy.execute(run, circuit)
-        finally:
-            statistics.wall_time_seconds = time.perf_counter() - started
-            if gc_was_enabled:
-                gc.enable()
+        # Pausing the cyclic collector is worth ~20% wall-clock on
+        # sequential simulation (see cyclic_gc_paused).
+        with cyclic_gc_paused():
+            started = time.perf_counter()
+            run._started = started
+            try:
+                if resilient:
+                    self._run_ops(run, strategy, circuit,
+                                  start_index=start_index, pending=pending,
+                                  strategy_state=strategy_state,
+                                  checkpoint_path=checkpoint_path,
+                                  checkpoint_every=checkpoint_every,
+                                  audit_every=audit_every)
+                else:
+                    strategy.execute(run, circuit)
+            finally:
+                statistics.wall_time_seconds = time.perf_counter() - started
         statistics.counters = self.package.counters.delta(counters_before)
         statistics.gc = self.package.gc_stats.delta(gc_before)
         # A state that finished on the dense-block fast path materialises

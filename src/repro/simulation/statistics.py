@@ -17,7 +17,7 @@ predecessor's numbers instead of starting from zero.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..dd.package import GcStats, OperationCounters
 
@@ -119,18 +119,13 @@ class SimulationStatistics:
                                      other.peak_matrix_nodes)
         self.final_state_nodes = other.final_state_nodes
         self.wall_time_seconds += other.wall_time_seconds
-        self.counters.add_recursions += other.counters.add_recursions
-        self.counters.mult_mv_recursions += other.counters.mult_mv_recursions
-        self.counters.mult_mm_recursions += other.counters.mult_mm_recursions
-        self.counters.kron_recursions += other.counters.kron_recursions
-        self.counters.nodes_created += other.counters.nodes_created
-        self.counters.apply_gate_recursions += \
-            other.counters.apply_gate_recursions
-        self.gc.collections += other.gc.collections
-        self.gc.nodes_freed += other.gc.nodes_freed
-        self.gc.pause_seconds += other.gc.pause_seconds
-        self.gc.compute_entries_dropped += other.gc.compute_entries_dropped
-        self.gc.ineffective += other.gc.ineffective
+        # Every counter field, so a new one cannot be skipped.
+        for mine, theirs in ((self.counters, other.counters),
+                             (self.gc, other.gc)):
+            for counter in fields(mine):
+                name = counter.name
+                setattr(mine, name, getattr(mine, name)
+                        + getattr(theirs, name))
         self.degradation_actions.extend(other.degradation_actions)
         self.cumulative_fidelity *= other.cumulative_fidelity
         self.checkpoints_written += other.checkpoints_written

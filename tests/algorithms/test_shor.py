@@ -1,14 +1,17 @@
 """Shor's algorithm: both simulation styles, orders, factors, statistics."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.algorithms import (ShorOrderFinder, beauregard_layout,
                               controlled_ua_circuit, factor,
                               multiplicative_order)
-from repro.simulation import (KOperationsStrategy, SequentialStrategy,
-                              SimulationEngine)
+from repro.algorithms import shor as shor_module
+from repro.simulation import (KOperationsStrategy, MaxSizeStrategy,
+                              SequentialStrategy, SimulationEngine)
 
 
 class TestLayout:
@@ -139,6 +142,112 @@ class TestGatesMode:
         construct = ShorOrderFinder(15, 7, mode="construct", seed=2).run()
         assert construct.statistics.matrix_vector_mults * 100 \
             < gates.statistics.matrix_vector_mults
+
+
+class TestRunOverhead:
+    """One GC pause and one oracle circuit per distinct multiplier per run;
+    neither may change what the run computes."""
+
+    @pytest.mark.parametrize("mode", ["gates", "construct"])
+    def test_at_most_one_cyclic_collection_per_run(self, mode):
+        """Re-enabling the collector after each segment started one pass
+        over the run's DD objects per segment; now only the pass owed when
+        the run re-enables it can start."""
+        finder = ShorOrderFinder(15, 7, mode=mode, seed=1)
+        starts = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            finder.run()
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(starts) <= 1, starts
+
+    @pytest.mark.parametrize("mode", ["gates", "construct"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_callers_collector_state(self, mode, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            ShorOrderFinder(15, 7, mode=mode, seed=1).run()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ["gates", "construct"])
+    def test_restores_the_collector_when_a_segment_raises(self, mode,
+                                                          monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("segment failed")
+
+        finder = ShorOrderFinder(15, 7, mode=mode, seed=1)
+        if mode == "gates":
+            monkeypatch.setattr(finder.engine, "simulate", boom)
+        else:
+            monkeypatch.setattr(shor_module, "measure_qubit", boom)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="segment failed"):
+            finder.run()
+        assert gc.isenabled()
+
+    def test_one_oracle_circuit_per_distinct_multiplier(self, monkeypatch):
+        """7^(2^k) mod 15 for k = 7..0 is 1 (six times), 4, 7."""
+        calls = []
+        original = shor_module.append_controlled_ua
+
+        def counting(circuit, control, x_register, b_register, multiplier,
+                     *args):
+            calls.append(multiplier)
+            return original(circuit, control, x_register, b_register,
+                            multiplier, *args)
+
+        monkeypatch.setattr(shor_module, "append_controlled_ua", counting)
+        finder = ShorOrderFinder(15, 7, mode="gates", seed=1)
+        assert sorted(finder._multipliers()) == [1, 1, 1, 1, 1, 1, 4, 7]
+        finder.run()
+        assert sorted(calls) == [1, 4, 7]
+
+    # Pinned before the oracle circuits were shared across segments.
+    @pytest.mark.parametrize("modulus,base,seed,strategy,expected", [
+        (15, 7, 5, SequentialStrategy(),
+         ([0, 0, 0, 0, 0, 0, 1, 1], 6031, 0, 31)),
+        (15, 7, 5, MaxSizeStrategy(16),
+         ([0, 0, 0, 0, 0, 0, 1, 1], 1742, 4289, 31)),
+        (21, 2, 3, SequentialStrategy(),
+         ([1, 0, 1, 0, 1, 0, 1, 0, 1, 1], 12339, 0, 43)),
+        (21, 2, 3, MaxSizeStrategy(16),
+         ([1, 0, 1, 0, 1, 0, 1, 0, 1, 1], 4480, 7859, 43)),
+    ])
+    def test_schedule_and_outcome_are_unchanged(self, modulus, base, seed,
+                                                strategy, expected):
+        result = ShorOrderFinder(modulus, base, mode="gates",
+                                 strategy=strategy, seed=seed).run()
+        stats = result.statistics
+        assert (result.phase_bits, stats.matrix_vector_mults,
+                stats.matrix_matrix_mults, stats.peak_state_nodes) == expected
+
+    @pytest.mark.parametrize("mode", ["gates", "construct"])
+    def test_run_leaves_no_reference_cycle_holding_the_package(self, mode):
+        """With the collector off, dropping the finder, the engine and the
+        result must free the package by reference counting alone."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = SimulationEngine()
+            package = weakref.ref(engine.package)
+            finder = ShorOrderFinder(15, 7, mode=mode, seed=1, engine=engine)
+            result = finder.run()
+            del finder, engine, result
+            assert package() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestFactor:

@@ -1,6 +1,8 @@
 """Measurement, projection and sampling on state DDs."""
 
+import gc
 import math
+import weakref
 from random import Random
 
 import numpy as np
@@ -156,3 +158,39 @@ class TestAllProbabilities:
         state = vector_from_numpy(package, vec)
         probabilities = all_probabilities(package, state, 2)
         assert np.allclose(probabilities, np.abs(vec) ** 2, atol=1e-6)
+
+
+class TestNoReferenceCycles:
+    """Recursive helpers must not leave reference cycles behind: the engine
+    and Shor's order finder run with the cyclic collector paused, so only
+    reference counting frees a dropped package or memo there."""
+
+    @pytest.mark.parametrize("helper", ["measure", "sample", "outer",
+                                        "permutation"])
+    def test_frees_package_and_memos_without_the_cyclic_collector(
+            self, helper):
+        from repro.dd import build_gate_dd, build_permutation_dd
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        try:
+            package = Package()
+            alive = weakref.ref(package)
+            hadamard = build_gate_dd(package, [[1, 1], [1, -1]], 3, 2)
+            state = package.multiply_matrix_vector(
+                hadamard, package.basis_state(3, 0b011))
+            if helper == "measure":
+                measure_qubit(package, state, 2, Random(3))
+            elif helper == "sample":
+                sample_bitstring(package, state, Random(3))
+            elif helper == "outer":
+                package.outer_product(state, state)
+            else:
+                build_permutation_dd(package, [2, 0, 3, 1], 2)
+            del package, hadamard, state
+            assert alive() is None
+            assert gc.collect() == 0  # no memo left behind in a cycle
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -1,9 +1,12 @@
 """Construction-level tests for the DD package: nodes, states, identity."""
 
+from random import Random
+
 import numpy as np
 import pytest
 
-from repro.dd import Package, vector_to_numpy, matrix_to_numpy
+from repro.circuit import Operation
+from repro.dd import Package, build_gate_dd, vector_to_numpy, matrix_to_numpy
 from repro.dd.node import TERMINAL
 
 
@@ -154,6 +157,70 @@ class TestMetrics:
         delta = package.counters.delta(before)
         assert delta.add_recursions > 0
         assert delta.total_recursions() >= delta.add_recursions
+
+
+def reference_count(edge) -> int:
+    """Distinct internal nodes on non-zero paths, by a plain set walk."""
+    seen = set()
+    stack = [edge]
+    while stack:
+        current = stack.pop()
+        node = current.node
+        if current.weight == 0 or node.level == -1 or node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node.edges)
+    return len(seen)
+
+
+class TestCountNodes:
+    """``count_nodes`` counts one level at a time; it must stay exact."""
+
+    @pytest.mark.parametrize("identity_edges", [False, True])
+    def test_matches_reference_walk_after_every_gate(self, identity_edges):
+        package = Package(identity_edges=identity_edges)
+        rng = Random(8)
+        num_qubits = 8
+        state = package.zero_state(num_qubits)
+        for index in range(120):
+            target = rng.randrange(num_qubits)
+            others = [q for q in range(num_qubits) if q != target]
+            controls = tuple((q, rng.randrange(2))
+                             for q in rng.sample(others, rng.randrange(3)))
+            gate = rng.choice(["h", "x", "t", "sx", "sy", "ry"])
+            params = (rng.uniform(0, 3),) if gate == "ry" else ()
+            op = Operation(gate, target, controls, params)
+            matrix = build_gate_dd(package, op.matrix(), num_qubits,
+                                   op.target, op.control_map())
+            state = package.multiply_matrix_vector(matrix, state)
+            # products of up to 6 gates, as a combining strategy builds
+            product = matrix if index % 6 == 0 \
+                else package.multiply_matrix_matrix(matrix, product)
+            for edge in (state, matrix, product):
+                assert package.count_nodes(edge) == reference_count(edge), \
+                    f"op {index}"
+        assert reference_count(state) > 20  # the walk saw real sharing
+
+    def test_identity_edge_product_with_a_node_at_two_depths(self):
+        """A level gap lets one node sit one and two levels below the
+        root; counting it once per depth would report 4 nodes, not 3."""
+        package = Package(identity_edges=True)
+
+        def gate_dd(controls):
+            op = Operation("x", 0, controls)
+            return build_gate_dd(package, op.matrix(), 3, 0,
+                                 op.control_map())
+
+        # q2 = 1: X on q0 (I (x) X, identity level skipped);
+        # q2 = 0: CX(q1 -> q0)
+        product = package.multiply_matrix_matrix(
+            gate_dd(((2, 1),)), gate_dd(((1, 1), (2, 0))))
+        root = product.node
+        children = {e.node for e in root.edges if e.weight != 0}
+        grandchildren = {e.node for child in children if child.level >= 0
+                         for e in child.edges if e.weight != 0}
+        assert children & grandchildren  # one node at two depths
+        assert package.count_nodes(product) == reference_count(product) == 3
 
 
 class TestGarbageCollection:

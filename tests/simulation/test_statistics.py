@@ -1,6 +1,8 @@
 """SimulationStatistics bookkeeping."""
 
-from repro.dd.package import OperationCounters
+from dataclasses import fields
+
+from repro.dd.package import GcStats, OperationCounters
 from repro.simulation import SimulationStatistics
 
 
@@ -49,6 +51,24 @@ class TestMerge:
         a.merge(b)
         assert a.counters.add_recursions == 8
         assert a.counters.mult_mv_recursions == 2
+
+    def test_merge_keeps_flat_slots_freed(self):
+        a = SimulationStatistics(gc=GcStats(flat_slots_freed=3))
+        a.merge(SimulationStatistics(gc=GcStats(flat_slots_freed=4)))
+        assert a.gc.flat_slots_freed == 7
+
+    def test_merge_adds_every_counter_and_gc_field(self):
+        def stats(value):
+            return SimulationStatistics(
+                counters=OperationCounters(**{
+                    f.name: value for f in fields(OperationCounters)}),
+                gc=GcStats(**{f.name: value for f in fields(GcStats)}))
+
+        a = stats(1)
+        a.merge(stats(2))
+        for record in (a.counters, a.gc):
+            for f in fields(record):
+                assert getattr(record, f.name) == 3, f.name
 
 
 class TestCounters:
