@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 from .edge import Edge
+from .measurement import _norm2
 from .package import Package
 
 __all__ = ["ApproximationResult", "prune_small_contributions",
@@ -37,39 +38,52 @@ class ApproximationResult:
     edges_cut: int
 
 
+# The recursive helpers below live at module level and take their memo as
+# an argument: a nested function that calls itself holds its own closure
+# cell, and that function<->cell cycle would keep the memo (and for the
+# rebuild the whole package) alive until the cyclic collector runs.
+
+def _collect(node, seen: set[int], order: list) -> None:
+    """Append every node under ``node`` to ``order``, depth-first."""
+    if node.level == -1 or id(node) in seen:
+        return
+    seen.add(id(node))
+    order.append(node)
+    for child in node.edges:
+        if child.weight != 0:
+            _collect(child.node, seen, order)
+
+
+def _rebuild(package: Package, node, to_cut: set[tuple[int, int]],
+             cache: dict[int, Edge]) -> Edge:
+    """The sub-vector under ``node`` with the edges in ``to_cut`` zeroed."""
+    if node.level == -1:
+        return package.one
+    found = cache.get(id(node))
+    if found is not None:
+        return found
+    children = []
+    for index, child in enumerate(node.edges):
+        if child.weight == 0 or (id(node), index) in to_cut:
+            children.append(package.zero)
+        else:
+            children.append(package._scaled(
+                _rebuild(package, child.node, to_cut, cache), child.weight))
+    result = package.make_vector_node(node.level, tuple(children))
+    cache[id(node)] = result
+    return result
+
+
 def _contributions(package: Package, state: Edge) -> dict[tuple[int, int], float]:
     """Probability mass flowing through each (node-id, child-index) edge."""
     # squared norm below each node
     norms: dict[int, float] = {}
-
-    def norm2(node) -> float:
-        if node.level == -1:
-            return 1.0
-        found = norms.get(id(node))
-        if found is not None:
-            return found
-        total = sum(abs(child.weight) ** 2 * norm2(child.node)
-                    for child in node.edges if child.weight != 0)
-        norms[id(node)] = total
-        return total
-
     # A(node): sum over root-to-node paths of the squared weight product
     # (excluding anything below the node).  Then the probability carried by
     # edge e = (node, child) is A(node) * |w_e|^2 * norm2(child).
     incoming: dict[int, float] = {id(state.node): abs(state.weight) ** 2}
     order: list = []
-    seen: set[int] = set()
-
-    def collect(node) -> None:
-        if node.level == -1 or id(node) in seen:
-            return
-        seen.add(id(node))
-        order.append(node)
-        for child in node.edges:
-            if child.weight != 0:
-                collect(child.node)
-
-    collect(state.node)
+    _collect(state.node, set(), order)
     contributions: dict[tuple[int, int], float] = {}
     # process by descending level so every parent is settled before its
     # children accumulate incoming mass
@@ -81,7 +95,7 @@ def _contributions(package: Package, state: Edge) -> dict[tuple[int, int], float
             through = mass * abs(child.weight) ** 2
             contributions[(id(node), index)] = \
                 contributions.get((id(node), index), 0.0) \
-                + through * norm2(child.node)
+                + through * _norm2(child.node, norms)
             if child.node.level != -1:
                 incoming[id(child.node)] = \
                     incoming.get(id(child.node), 0.0) + through
@@ -114,26 +128,8 @@ def prune_small_contributions(package: Package, state: Edge,
         spent += mass
         to_cut.add(key)
 
-    cache: dict[int, Edge] = {}
-
-    def rebuild(node) -> Edge:
-        if node.level == -1:
-            return package.one
-        found = cache.get(id(node))
-        if found is not None:
-            return found
-        children = []
-        for index, child in enumerate(node.edges):
-            if child.weight == 0 or (id(node), index) in to_cut:
-                children.append(package.zero)
-            else:
-                children.append(package._scaled(rebuild(child.node),
-                                                child.weight))
-        result = package.make_vector_node(node.level, tuple(children))
-        cache[id(node)] = result
-        return result
-
-    pruned = package._scaled(rebuild(state.node), state.weight)
+    pruned = package._scaled(_rebuild(package, state.node, to_cut, {}),
+                             state.weight)
     if pruned.weight == 0:
         # budget ate everything that was reachable -- refuse the cut
         return ApproximationResult(state, 1.0, nodes_before, nodes_before, 0)

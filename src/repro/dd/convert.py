@@ -87,16 +87,7 @@ def vector_from_numpy(package: Package, amplitudes) -> Edge:
     num_qubits = size.bit_length() - 1
     if size != 1 << num_qubits or amplitudes.ndim != 1:
         raise ValueError("amplitude vector length must be a power of two")
-
-    def build(level: int, offset: int) -> Edge:
-        if level < 0:
-            return package.terminal_edge(complex(amplitudes[offset]))
-        span = 1 << level
-        low = build(level - 1, offset)
-        high = build(level - 1, offset + span)
-        return package.make_vector_node(level, (low, high))
-
-    return build(num_qubits - 1, 0)
+    return _build_vector(package, amplitudes, num_qubits - 1, 0)
 
 
 def matrix_from_numpy(package: Package, matrix) -> Edge:
@@ -108,15 +99,30 @@ def matrix_from_numpy(package: Package, matrix) -> Edge:
     num_qubits = size.bit_length() - 1
     if size != 1 << num_qubits:
         raise ValueError("matrix side must be a power of two")
+    return _build_matrix(package, matrix, num_qubits - 1, 0, 0)
 
-    def build(level: int, row: int, col: int) -> Edge:
-        if level < 0:
-            return package.terminal_edge(complex(matrix[row, col]))
-        span = 1 << level
-        children = tuple(
-            build(level - 1, row + row_bit * span, col + col_bit * span)
-            for row_bit in (0, 1) for col_bit in (0, 1)
-        )
-        return package.make_matrix_node(level, children)
 
-    return build(num_qubits - 1, 0, 0)
+# Module-level builders: a self-calling closure would keep the package
+# alive in a reference cycle until the cyclic collector runs.
+
+def _build_vector(package: Package, amplitudes, level: int,
+                  offset: int) -> Edge:
+    if level < 0:
+        return package.terminal_edge(complex(amplitudes[offset]))
+    span = 1 << level
+    low = _build_vector(package, amplitudes, level - 1, offset)
+    high = _build_vector(package, amplitudes, level - 1, offset + span)
+    return package.make_vector_node(level, (low, high))
+
+
+def _build_matrix(package: Package, matrix, level: int, row: int,
+                  col: int) -> Edge:
+    if level < 0:
+        return package.terminal_edge(complex(matrix[row, col]))
+    span = 1 << level
+    children = tuple(
+        _build_matrix(package, matrix, level - 1, row + row_bit * span,
+                      col + col_bit * span)
+        for row_bit in (0, 1) for col_bit in (0, 1)
+    )
+    return package.make_matrix_node(level, children)

@@ -134,16 +134,7 @@ def build_diagonal_dd(package: Package, phases, num_qubits: int) -> Edge:
             raise ValueError(
                 f"need {1 << num_qubits} diagonal entries, got {len(values)}")
         entry = values.__getitem__
-
-    def build(level: int, prefix: int) -> Edge:
-        if level < 0:
-            return package.terminal_edge(complex(entry(prefix)))
-        low = build(level - 1, prefix)
-        high = build(level - 1, prefix | (1 << level))
-        return package.make_matrix_node(
-            level, (low, package.zero, package.zero, high))
-
-    return build(num_qubits - 1, 0)
+    return _build_diagonal(package, entry, num_qubits - 1, 0)
 
 
 def build_two_level_dd(package: Package, num_qubits: int, index_a: int,
@@ -162,44 +153,66 @@ def build_two_level_dd(package: Package, num_qubits: int, index_a: int,
     u = [[complex(matrix[r][c]) for c in (0, 1)] for r in (0, 1)]
     if index_a != a:  # caller listed them in the other order
         u = [[u[1][1], u[1][0]], [u[0][1], u[0][0]]]
+    return _build_two_level(package, a, b, u, num_qubits - 1, 0, 0)
 
-    def entry(row: int, col: int) -> complex:
-        if row == a and col == a:
-            return u[0][0]
-        if row == a and col == b:
-            return u[0][1]
-        if row == b and col == a:
-            return u[1][0]
-        if row == b and col == b:
-            return u[1][1]
-        return 1 + 0j if row == col else 0j
 
-    def contains(prefix: int, level: int, index: int) -> bool:
-        """Whether basis ``index`` lies in the block selected by ``prefix``."""
-        span = 1 << (level + 1)
-        return prefix <= index < prefix + span
+# Module-level builders: a self-calling closure would keep the package
+# alive in a reference cycle until the cyclic collector runs.
 
-    def build(level: int, row_prefix: int, col_prefix: int) -> Edge:
-        diagonal_block = row_prefix == col_prefix
-        touched = (contains(row_prefix, level, a) or contains(row_prefix, level, b)
-                   or contains(col_prefix, level, a) or contains(col_prefix, level, b))
-        if diagonal_block and not touched:
-            return package.identity(level + 1)
-        if not diagonal_block:
-            crosses = ((contains(row_prefix, level, a) and contains(col_prefix, level, b))
-                       or (contains(row_prefix, level, b) and contains(col_prefix, level, a)))
-            if not crosses:
-                # Off-diagonal block that cannot hold any of the four special
-                # entries: it is all zeros.
-                return package.zero
-        if level < 0:
-            return package.terminal_edge(entry(row_prefix, col_prefix))
-        children = []
-        for row_bit in (0, 1):
-            for col_bit in (0, 1):
-                children.append(build(level - 1,
-                                      row_prefix | (row_bit << level),
-                                      col_prefix | (col_bit << level)))
-        return package.make_matrix_node(level, tuple(children))
+def _build_diagonal(package: Package, entry, level: int,
+                    prefix: int) -> Edge:
+    if level < 0:
+        return package.terminal_edge(complex(entry(prefix)))
+    low = _build_diagonal(package, entry, level - 1, prefix)
+    high = _build_diagonal(package, entry, level - 1, prefix | (1 << level))
+    return package.make_matrix_node(
+        level, (low, package.zero, package.zero, high))
 
-    return build(num_qubits - 1, 0, 0)
+
+def _two_level_entry(a: int, b: int, u, row: int, col: int) -> complex:
+    if row == a and col == a:
+        return u[0][0]
+    if row == a and col == b:
+        return u[0][1]
+    if row == b and col == a:
+        return u[1][0]
+    if row == b and col == b:
+        return u[1][1]
+    return 1 + 0j if row == col else 0j
+
+
+def _contains(prefix: int, level: int, index: int) -> bool:
+    """Whether basis ``index`` lies in the block selected by ``prefix``."""
+    span = 1 << (level + 1)
+    return prefix <= index < prefix + span
+
+
+def _build_two_level(package: Package, a: int, b: int, u, level: int,
+                     row_prefix: int, col_prefix: int) -> Edge:
+    diagonal_block = row_prefix == col_prefix
+    touched = (_contains(row_prefix, level, a)
+               or _contains(row_prefix, level, b)
+               or _contains(col_prefix, level, a)
+               or _contains(col_prefix, level, b))
+    if diagonal_block and not touched:
+        return package.identity(level + 1)
+    if not diagonal_block:
+        crosses = ((_contains(row_prefix, level, a)
+                    and _contains(col_prefix, level, b))
+                   or (_contains(row_prefix, level, b)
+                       and _contains(col_prefix, level, a)))
+        if not crosses:
+            # Off-diagonal block that cannot hold any of the four special
+            # entries: it is all zeros.
+            return package.zero
+    if level < 0:
+        return package.terminal_edge(
+            _two_level_entry(a, b, u, row_prefix, col_prefix))
+    children = []
+    for row_bit in (0, 1):
+        for col_bit in (0, 1):
+            children.append(_build_two_level(
+                package, a, b, u, level - 1,
+                row_prefix | (row_bit << level),
+                col_prefix | (col_bit << level)))
+    return package.make_matrix_node(level, tuple(children))

@@ -19,32 +19,31 @@ struct-of-arrays node store:
   why pure grid rounding is not an option;
 * traversals are explicit work-stacks, not Python recursion, so a frame is
   a two-slot list instead of an interpreter frame;
-* memo tables are plain dicts keyed by ints / small tuples, with the
-  cache-key redesign the ISSUE calls for: addition entries are canonical
-  modulo weight normalisation *and sign* -- one fused entry answers both
-  ``x + r*y`` and ``x - r*y`` (the butterfly pair every Hadamard-like gate
-  generates), which is what turns the historical 0% ``add_vec`` hit rate
-  into real reuse.
+* memo tables are plain dicts keyed by ints / small tuples, and addition
+  entries are canonical modulo weight normalisation *and sign* -- one
+  fused entry answers both ``x + r*y`` and ``x - r*y`` (the butterfly pair
+  every Hadamard-like gate generates), which is what turns the historical
+  0% ``add_vec`` hit rate into real reuse.
 
 Plain Python lists beat numpy arrays for the *node store*: element access
 on a numpy complex array boxes a fresh ``complex`` per read (~90ns) while a
 list read returns the cached object (~35ns), and the kernel reads weights
 far more often than it writes them.
 
-Numpy earns its keep one level up, as the issue's "edge weights in numpy
-complex arrays": when a state's DD becomes dense enough that per-node
-Python traversal costs more than touching every amplitude once with
-vectorised arithmetic, the kernel *cuts over* to a :class:`DenseState` --
-the full amplitude block as one contiguous ``complex128`` array, with gate
+Numpy earns its keep one level up, as edge weights in numpy complex
+arrays: when a state's DD becomes dense enough that per-node Python
+traversal costs more than touching every amplitude once with vectorised
+arithmetic, the kernel *cuts over* to a :class:`DenseState` -- the full
+amplitude block as one contiguous ``complex128`` array, with gate
 application as a handful of numpy slice operations.  The cutover is driven
 by a measured cost model (worklist units per apply pass vs. the projected
 dense-pass cost, see ``apply_gate``), is capped so large sparse registers
 never densify, can be disabled with ``Package(dense_blocks=False)``, and
-converts back to a flat DD on demand (``DenseState.to_flat``, vectorised
-level-by-level with ``np.unique``).  Supremacy-style workloads whose
-states approach maximal DD width spend almost all their time on the dense
-path; genuinely sparse workloads (large Grover registers past the cap)
-never leave the flat DD path.
+converts back to a flat DD on demand (``DenseState.to_flat``: level by
+level, one ``np.lexsort`` per level plus one ``_make`` per distinct
+node).  Supremacy-style workloads whose states approach maximal DD width
+spend almost all their time on the dense path; genuinely sparse workloads
+(large Grover registers past the cap) never leave the flat DD path.
 
 State DDs live in the flat store as :class:`FlatEdge` roots; matrix DDs
 stay object-based (they are small) and are imported into a flat mirror on
@@ -120,11 +119,11 @@ class DenseState:
     ``Package.apply_gate``, which applies further gates with vectorised
     numpy slice arithmetic instead of DD traversal.  Everything that needs
     DD structure (addition, matrix products, serialisation, audits) goes
-    through :meth:`to_flat`, which rebuilds the flat DD level-by-level with
-    ``np.unique`` and caches the result.  The cache is tagged with the
-    kernel's GC generation: a kernel collection compacts flat indices, so a
-    cached root from an older generation is silently rebuilt instead of
-    dereferencing remapped slots.
+    through :meth:`to_flat`, which rebuilds the flat DD level by level
+    (:meth:`FlatKernel.from_dense`) and caches the result.  The cache is
+    tagged with the kernel's GC generation: a kernel collection compacts
+    flat indices, so a cached root from an older generation is silently
+    rebuilt instead of dereferencing remapped slots.
 
     Amplitude index bit ``q`` is qubit ``q`` (little-endian), matching
     ``Package.basis_state``.
@@ -207,11 +206,20 @@ class FlatKernel:
     DENSE_DET_FIXED_UNITS = 6667
 
     def __init__(self, package) -> None:
-        self.package = package
+        # The kernel keeps the package parts it reads, never the package
+        # itself: a back-reference would put every iterative package in a
+        # reference cycle that only the cyclic collector frees -- and the
+        # engine and Shor's order finder pause that collector on purpose.
+        self.counters = package.counters
+        #: the package's vector unique table (obj_node interns into it)
+        self.vectors = package.tables.vectors
+        self.zero = package.zero
+        #: object ids of identity matrix DDs (the I*v shortcut)
+        self.identity_ids = package._mult_identity_ids
         #: cutover decision mode (see apply_gate): False = EWMA-smoothed
         #: cost estimate, True = pure integer rule over the last pass
         self.deterministic = bool(getattr(package, "deterministic", False))
-        tol = package.complex_table.tolerance
+        self.tolerance = tol = package.complex_table.tolerance
         self._grid = 1.0 / tol
         #: canonical-representative lookup (attractor semantics, see _rnd)
         self._lookup = package.complex_table.lookup
@@ -296,8 +304,7 @@ class FlatKernel:
         (or zero-rounding) children are snapped to the terminal so quasi-
         reducedness holds structurally.
         """
-        tol = self.package.complex_table.tolerance
-        if abs(a1) > abs(a0) + tol:
+        if abs(a1) > abs(a0) + self.tolerance:
             norm = a1
         else:
             norm = a0
@@ -334,7 +341,7 @@ class FlatKernel:
             self.w0.append(q0)
             self.w1.append(q1)
             self.unique[key] = idx
-            self.package.counters.nodes_created += 1
+            self.counters.nodes_created += 1
         return idx, lookup(norm)
 
     # ------------------------------------------------------------------
@@ -357,31 +364,34 @@ class FlatKernel:
         """Copy an object state DD into the flat store."""
         if edge.weight == 0:
             return FlatEdge(self, 0, 0j)
-        memo: dict[int, tuple] = {}
-
-        def walk(node) -> tuple:
-            if node.level == -1:
-                return 0, 1 + 0j
-            got = memo.get(id(node))
-            if got is not None:
-                return got
-            e0, e1 = node.edges
-            if e0.weight == 0:
-                i0, f0 = 0, 0j
-            else:
-                i0, f0 = walk(e0.node)
-                f0 *= e0.weight
-            if e1.weight == 0:
-                i1, f1 = 0, 0j
-            else:
-                i1, f1 = walk(e1.node)
-                f1 *= e1.weight
-            result = self._make(node.level, i0, f0, i1, f1)
-            memo[id(node)] = result
-            return result
-
-        idx, factor = walk(edge.node)
+        idx, factor = self._import_vector_node(edge.node, {})
         return FlatEdge(self, idx, factor * edge.weight)
+
+    # The import walks are methods, not nested closures: a closure that
+    # calls itself would keep the kernel alive in a reference cycle until
+    # the cyclic collector runs -- which the engine pauses on purpose.
+
+    def _import_vector_node(self, node, memo: dict[int, tuple]) -> tuple:
+        """``(index, factor)`` of the flat copy of object ``node``."""
+        if node.level == -1:
+            return 0, 1 + 0j
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        e0, e1 = node.edges
+        if e0.weight == 0:
+            i0, f0 = 0, 0j
+        else:
+            i0, f0 = self._import_vector_node(e0.node, memo)
+            f0 *= e0.weight
+        if e1.weight == 0:
+            i1, f1 = 0, 0j
+        else:
+            i1, f1 = self._import_vector_node(e1.node, memo)
+            f1 *= e1.weight
+        result = self._make(node.level, i0, f0, i1, f1)
+        memo[id(node)] = result
+        return result
 
     def obj_node(self, idx: int):
         """Materialise flat node ``idx`` as an interned object node.
@@ -415,9 +425,8 @@ class FlatKernel:
             ch = c1[i]
             if ch and w1[i] != 0 and ch not in need and ch not in cache:
                 stack.append(ch)
-        pkg = self.package
-        zero = pkg.zero
-        table = pkg.tables.vectors
+        zero = self.zero
+        table = self.vectors
         lvl = self.lvl
         # Children always have smaller indices, so one ascending pass
         # materialises every dependency before its parents.
@@ -430,7 +439,7 @@ class FlatKernel:
             e1 = zero if q1 == 0 else Edge(cache.get(c1[i], TERMINAL), q1)
             node = table.get_or_insert(lvl[i], (e0, e1))
             if table.created:
-                pkg.counters.nodes_created += 1
+                self.counters.nodes_created += 1
             cache[i] = node
         return cache[idx]
 
@@ -449,29 +458,26 @@ class FlatKernel:
         return w
 
     def count_nodes(self, idx: int) -> int:
-        """Internal flat nodes reachable from ``idx`` (terminal excluded)."""
+        """Internal flat nodes reachable from ``idx`` (terminal excluded).
+
+        Counts one level at a time: a zero stub points at the terminal and
+        every non-zero child sits exactly one level down (both audited by
+        ``check_invariants``), so each frontier is exactly the set of nodes
+        on one level.  This runs after every simulation step.
+        """
         if idx == 0:
             return 0
         c0 = self.c0
         c1 = self.c1
-        w0 = self.w0
-        w1 = self.w1
-        seen = {idx}
-        seen_add = seen.add
-        stack = [idx]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            i = pop()
-            ch = c0[i]
-            if ch and w0[i] != 0 and ch not in seen:
-                seen_add(ch)
-                push(ch)
-            ch = c1[i]
-            if ch and w1[i] != 0 and ch not in seen:
-                seen_add(ch)
-                push(ch)
-        return len(seen)
+        count = 0
+        frontier = {idx}
+        while frontier:
+            count += len(frontier)
+            below = {c0[i] for i in frontier}
+            below.update([c1[i] for i in frontier])
+            below.discard(0)
+            frontier = below
+        return count
 
     @property
     def live_nodes(self) -> int:
@@ -593,7 +599,7 @@ class FlatKernel:
     def check_invariants(self, max_violations: int = 100) -> list[str]:
         """Audit the flat store's structural invariants."""
         violations: list[str] = []
-        tol = max(self.package.complex_table.tolerance * 8, 1e-12)
+        tol = max(self.tolerance * 8, 1e-12)
         lvl = self.lvl
         for i in range(1, len(lvl)):
             level = lvl[i]
@@ -674,7 +680,7 @@ class FlatKernel:
         c1 = self.c1
         w0 = self.w0
         w1 = self.w1
-        counters = self.package.counters
+        counters = self.counters
         stack = [[root_key, None]]
         while stack:
             frame = stack[-1]
@@ -908,7 +914,7 @@ class FlatKernel:
     def _apply_root(self, root: int, prep: tuple) -> tuple:
         kid, target, above, kind, u, pid, lowest, lower = prep
         memo = self.apply_memo
-        counters = self.package.counters
+        counters = self.counters
         pk = (root << _SPEC_BITS) | kid
         got = memo.get(pk)
         if got is not None:
@@ -1049,7 +1055,7 @@ class FlatKernel:
         if lvl[root] < lowest:
             return root, 1 + 0j
         memo = self.apply_memo
-        counters = self.package.counters
+        counters = self.counters
         pk = (root << _SPEC_BITS) | pid
         got = memo.get(pk)
         if got is not None:
@@ -1173,57 +1179,56 @@ class FlatKernel:
     def from_dense(self, amps) -> FlatEdge:
         """Rebuild a flat DD from an amplitude block, level by level.
 
-        Each pass halves the working arrays: positions are paired into
+        Each pass halves the working arrays: positions pair into
         ``(child0, child1)`` candidates, normalised with the package's
-        dominance rule vectorised over the whole level, grouped with
-        ``np.unique`` on tolerance-rounded weight ratios, and only the
-        *distinct* groups pay a Python-level ``_make`` call (which runs the
-        exact complex-table canonicalisation).  Grouping by rounded ratio
-        is a pure optimisation: near-boundary pairs that land in different
-        groups still unify inside ``_make``.  Per-position magnitudes stay
-        exact because each position keeps its own norm as the upward
-        weight; only the ratio inside a shared node is snapped.
+        dominance rule over the whole level.  One stable ``np.lexsort`` on
+        the child indices and tolerance-rounded weight ratios groups equal
+        pairs; each group pays one ``_make`` (the exact complex-table
+        canonicalisation) through its last member, in sorted order.  The
+        ratios stay float64: for two sub-tolerance children they reach
+        about tol/|tiny|, which overflows int64 on the grid.  Pairs split
+        across groups near a rounding boundary still unify inside
+        ``_make``; each position keeps its own norm as the upward weight.
         """
         size = int(amps.size)
         n = size.bit_length() - 1
         if size != 1 << n:
             raise ValueError("amplitude block length must be a power of 2")
-        tol = self.package.complex_table.tolerance
+        tol = self.tolerance
         grid = self._grid
+        make = self._make
         idx = np.zeros(size, dtype=np.int64)
-        wts = np.asarray(amps, dtype=np.complex128).copy()
+        wts = np.asarray(amps, dtype=np.complex128)
         for level in range(n):
             i0 = idx[0::2]
             i1 = idx[1::2]
             a0 = wts[0::2]
             a1 = wts[1::2]
-            dominant1 = np.abs(a1) > np.abs(a0) + tol
-            norm = np.where(dominant1, a1, a0)
+            norm = np.where(np.abs(a1) > np.abs(a0) + tol, a1, a0)
             dead = norm == 0
             safe = np.where(dead, 1, norm)
             q0 = a0 / safe
             q1 = a1 / safe
-            rows = np.column_stack((
-                i0.astype(np.float64), i1.astype(np.float64),
-                np.round(q0.real * grid), np.round(q0.imag * grid),
-                np.round(q1.real * grid), np.round(q1.imag * grid)))
-            rows[dead] = 0.0
-            uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-            representative = np.empty(len(uniq), dtype=np.int64)
-            representative[inverse] = np.arange(len(inverse))
-            group_idx = np.empty(len(uniq), dtype=np.int64)
-            for g in range(len(uniq)):
-                m = representative[g]
-                if dead[m]:
-                    group_idx[g] = 0
-                    continue
-                node, _ = self._make(level, int(i0[m]), complex(a0[m]),
-                                     int(i1[m]), complex(a1[m]))
-                group_idx[g] = node
-            idx = group_idx[inverse]
+            # Primary key last.  A dead pair (norm 0) has both ratios near
+            # 0, a live one a ratio of 1: they never share a group.
+            keys = (np.round(q1.imag * grid), np.round(q1.real * grid),
+                    np.round(q0.imag * grid), np.round(q0.real * grid),
+                    i1, i0)
+            order = np.lexsort(keys)
+            first = np.zeros(order.size, dtype=bool)
+            first[0] = True
+            for key in keys:
+                ks = key[order]
+                first[1:] |= ks[1:] != ks[:-1]
+            reps = order[np.append(first[1:], True)]
+            nodes = [0 if d else make(level, x0, b0, x1, b1)[0]
+                     for d, x0, b0, x1, b1 in zip(
+                         dead[reps].tolist(), i0[reps].tolist(),
+                         a0[reps].tolist(), i1[reps].tolist(),
+                         a1[reps].tolist())]
+            idx = np.empty(order.size, dtype=np.int64)
+            idx[order] = np.array(nodes, dtype=np.int64)[np.cumsum(first) - 1]
             wts = np.where(dead, 0j, norm)
-            idx[wts == 0] = 0
         return FlatEdge(self, int(idx[0]), complex(wts[0]))
 
     def _dense_selectors(self, prep: tuple, num_amps: int) -> tuple:
@@ -1367,33 +1372,31 @@ class FlatKernel:
         cannot be reused while the mirror is alive; kernel GC drops the
         whole mirror.
         """
-        identity_ids = self.package._mult_identity_ids
-        m_import = self._m_import
+        return self._import_matrix_node(edge.node)
 
-        def walk(node) -> int:
-            if node.level == -1:
-                return 0
-            mi = m_import.get(id(node))
-            if mi is not None:
-                return mi
-            entry = []
-            for child in node.edges:
-                if child.weight == 0:
-                    entry.append(0)
-                    entry.append(0j)
-                else:
-                    entry.append(walk(child.node))
-                    entry.append(child.weight)
-            mi = len(self.mlvl)
-            self.mlvl.append(node.level)
-            self.ment.append(tuple(entry))
-            if id(node) in identity_ids:
-                self.midn.add(mi)
-            m_import[id(node)] = mi
-            self._m_keepalive.append(node)
+    def _import_matrix_node(self, node) -> int:
+        """Flat matrix index of object ``node`` (memo: ``_m_import``)."""
+        if node.level == -1:
+            return 0
+        mi = self._m_import.get(id(node))
+        if mi is not None:
             return mi
-
-        return walk(edge.node)
+        entry = []
+        for child in node.edges:
+            if child.weight == 0:
+                entry.append(0)
+                entry.append(0j)
+            else:
+                entry.append(self._import_matrix_node(child.node))
+                entry.append(child.weight)
+        mi = len(self.mlvl)
+        self.mlvl.append(node.level)
+        self.ment.append(tuple(entry))
+        if id(node) in self.identity_ids:
+            self.midn.add(mi)
+        self._m_import[id(node)] = mi
+        self._m_keepalive.append(node)
+        return mi
 
     def mult_mv(self, m: Edge, v: FlatEdge) -> FlatEdge:
         """Product of an object matrix DD with a flat state DD.
@@ -1412,7 +1415,7 @@ class FlatKernel:
 
     def _mult(self, mroot: int, vroot: int) -> tuple:
         memo = self.mult_memo
-        counters = self.package.counters
+        counters = self.counters
         key = (mroot, vroot)
         self.mult_lookups += 1
         got = memo.get(key)

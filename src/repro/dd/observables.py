@@ -89,19 +89,24 @@ def diagonal_expectation(package: Package, state: Edge,
     """
     if state.weight == 0:
         raise ValueError("zero state has no expectation values")
-    total = 0.0
+    return _diagonal_walk(state.node, 0, abs(state.weight) ** 2, value, 0.0)
 
-    def walk(node, prefix: int, probability: float) -> None:
-        nonlocal total
-        if probability == 0.0:
-            return
-        if node.level == -1:
-            total += probability * value(prefix)
-            return
-        for bit, child in enumerate(node.edges):
-            if child.weight != 0:
-                walk(child.node, prefix | (bit << node.level),
-                     probability * abs(child.weight) ** 2)
 
-    walk(state.node, 0, abs(state.weight) ** 2)
+def _diagonal_walk(node, prefix: int, probability: float,
+                   value: Callable[[int], float], total: float) -> float:
+    """``total`` plus the weighted ``value`` of every path under ``node``.
+
+    Module level: a self-calling closure would outlive the call in a
+    reference cycle.  The running total is threaded through, so leaves are
+    added in path order, one at a time.
+    """
+    if probability == 0.0:
+        return total
+    if node.level == -1:
+        return total + probability * value(prefix)
+    for bit, child in enumerate(node.edges):
+        if child.weight != 0:
+            total = _diagonal_walk(child.node, prefix | (bit << node.level),
+                                   probability * abs(child.weight) ** 2,
+                                   value, total)
     return total

@@ -1321,9 +1321,6 @@ class Package:
             count += self.flat.live_nodes
         return count
 
-    def reset_counters(self) -> None:
-        self.counters = OperationCounters()
-
     # ------------------------------------------------------------------
     # integrity auditing
     # ------------------------------------------------------------------

@@ -140,50 +140,59 @@ def swap_adjacent_levels(package: Package, edge: Edge, level: int,
     matrix = _is_matrix(edge)
     if not matrix and root_level < top:
         raise _gap_error(top, root_level)
-    swap_block = _swap_matrix_block if matrix else _swap_vector_block
-    make_node = package.make_matrix_node if matrix \
-        else package.make_vector_node
-    cache: dict[int, Edge] = {}
-
-    def swap_under(node) -> Edge:
-        """Swap the window under a node at ``level + 1`` (or, for matrix
-        gaps, a node at ``level`` viewed one level up)."""
-        return swap_block(package, Edge(node, 1 + 0j), level)
-
-    def rebuild(node) -> Edge:
-        found = cache.get(id(node))
-        if found is not None:
-            return found
-        children = []
-        for child in node.edges:
-            if child.weight == 0:
-                children.append(package.zero)
-                continue
-            child_level = child.node.level
-            if child_level > level + 1:
-                children.append(package._scaled(rebuild(child.node),
-                                                child.weight))
-            elif child_level == level + 1 or (matrix
-                                              and child_level == level):
-                children.append(package._scaled(swap_under(child.node),
-                                                child.weight))
-            elif matrix:
-                # The identity gap spans both swapped levels; identity is
-                # symmetric under the swap, so the sub-DD is unchanged.
-                children.append(child)
-            else:
-                raise _gap_error(node.level - 1, child_level)
-        result = make_node(node.level, tuple(children))
-        cache[id(node)] = result
-        return result
-
     if root_level > level + 1:
-        return package._scaled(rebuild(edge.node), edge.weight)
+        return package._scaled(
+            _swap_above(package, edge.node, level, matrix, {}), edge.weight)
     if root_level == level + 1 or (matrix and root_level == level):
-        return package._scaled(swap_under(edge.node), edge.weight)
+        return package._scaled(_swap_under(package, edge.node, level, matrix),
+                               edge.weight)
     # matrix root entirely below the swap window: both swapped levels are
     # identity factors -- nothing to do
     return edge
+
+
+def _swap_under(package: Package, node, level: int, matrix: bool) -> Edge:
+    """Swap the window under a node at ``level + 1`` (or, for matrix gaps,
+    a node at ``level`` viewed one level up)."""
+    swap_block = _swap_matrix_block if matrix else _swap_vector_block
+    return swap_block(package, Edge(node, 1 + 0j), level)
+
+
+def _swap_above(package: Package, node, level: int, matrix: bool,
+                cache: dict[int, Edge]) -> Edge:
+    """Rebuild a node above the swap window with the window swapped.
+
+    Module level, with the memo as an argument: a self-calling closure
+    would keep the package alive in a reference cycle.
+    """
+    found = cache.get(id(node))
+    if found is not None:
+        return found
+    children = []
+    for child in node.edges:
+        if child.weight == 0:
+            children.append(package.zero)
+            continue
+        child_level = child.node.level
+        if child_level > level + 1:
+            children.append(package._scaled(
+                _swap_above(package, child.node, level, matrix, cache),
+                child.weight))
+        elif child_level == level + 1 or (matrix and child_level == level):
+            children.append(package._scaled(
+                _swap_under(package, child.node, level, matrix),
+                child.weight))
+        elif matrix:
+            # The identity gap spans both swapped levels; identity is
+            # symmetric under the swap, so the sub-DD is unchanged.
+            children.append(child)
+        else:
+            raise _gap_error(node.level - 1, child_level)
+    make_node = package.make_matrix_node if matrix \
+        else package.make_vector_node
+    result = make_node(node.level, tuple(children))
+    cache[id(node)] = result
+    return result
 
 
 def apply_index_permutation(index: int, permutation: Sequence[int]) -> int:

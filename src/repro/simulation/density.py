@@ -85,32 +85,34 @@ def partial_trace(package: Package, rho: Edge, qubit: int) -> Edge:
         return rho
     if not 0 <= qubit <= rho.node.level:
         raise ValueError(f"qubit {qubit} out of range")
-    cache: dict[int, Edge] = {}
+    return package._scaled(_reduce(package, rho.node, qubit, {}), rho.weight)
 
-    def reduce(node) -> Edge:
-        found = cache.get(id(node))
-        if found is not None:
-            return found
-        if node.level == qubit:
-            # Tr over this level: rho00 + rho11 quadrants
-            result = package.add_matrices(node.edges[0], node.edges[3])
-        else:
-            children = []
-            for child in node.edges:
-                if child.weight == 0:
-                    children.append(package.zero)
-                else:
-                    children.append(package._scaled(reduce(child.node),
-                                                    child.weight))
-            result = package.make_matrix_node(node.level - 1,
-                                              tuple(children))
-        cache[id(node)] = result
-        return result
 
-    if rho.node.level == qubit:
-        traced = package.add_matrices(rho.node.edges[0], rho.node.edges[3])
-        return package._scaled(traced, rho.weight)
-    return package._scaled(reduce(rho.node), rho.weight)
+def _reduce(package: Package, node, qubit: int,
+            cache: dict[int, Edge]) -> Edge:
+    """The sub-matrix under ``node`` with ``qubit`` traced out.
+
+    Module level, with the memo as an argument: a self-calling closure
+    would keep the package alive in a reference cycle.
+    """
+    found = cache.get(id(node))
+    if found is not None:
+        return found
+    if node.level == qubit:
+        # Tr over this level: rho00 + rho11 quadrants
+        result = package.add_matrices(node.edges[0], node.edges[3])
+    else:
+        children = []
+        for child in node.edges:
+            if child.weight == 0:
+                children.append(package.zero)
+            else:
+                children.append(package._scaled(
+                    _reduce(package, child.node, qubit, cache),
+                    child.weight))
+        result = package.make_matrix_node(node.level - 1, tuple(children))
+    cache[id(node)] = result
+    return result
 
 
 class DensityMatrixSimulator:

@@ -53,16 +53,55 @@ class EquivalenceResult:
         return self.equivalent
 
 
+#: Slack of the node comparison, in complex-table tolerances (the
+#: integrity auditor allows the same).  The table snaps only values below
+#: the tolerance, so a miter ``U_b U_a^dagger`` of two equal circuits can
+#: keep off-diagonal weights of exactly the tolerance: its node is then
+#: not the identity's, though the two agree to working precision.
+_SLACK_TOLERANCES = 8
+
+
 def _phase_between(package: Package, a: Edge, b: Edge) -> complex | None:
-    """If ``a = c * b`` for a unit-magnitude scalar ``c``, return ``c``."""
-    if a.node is not b.node:
-        return None
+    """If ``a = c * b`` for a unit-magnitude scalar ``c``, return ``c``.
+
+    Canonical diagrams make this a pointer check.  When the root nodes
+    differ, a lockstep walk still accepts them if every pair of
+    corresponding child weights agrees to within a few tolerances.
+    """
     if b.weight == 0:
         return 1 + 0j if a.weight == 0 else None
     ratio = a.weight / b.weight
     if abs(abs(ratio) - 1.0) > 1e-9:
         return None
+    slack = _SLACK_TOLERANCES * package.complex_table.tolerance
+    if not _nodes_close(a.node, b.node, slack, set()):
+        return None
     return ratio
+
+
+def _nodes_close(x, y, slack: float, close: set[tuple[int, int]]) -> bool:
+    """Whether nodes ``x`` and ``y`` agree child weight by child weight to
+    within ``slack``; ``close`` memoises the pairs already found to agree.
+
+    A level gap (identity-skipping edges) on one side only counts as a
+    difference.  Module level, with the memo as an argument: a
+    self-calling closure would sit in a reference cycle.
+    """
+    if x is y:
+        return True
+    if x.level != y.level:
+        return False
+    key = (id(x), id(y))
+    if key in close:
+        return True
+    for ex, ey in zip(x.edges, y.edges):
+        if abs(ex.weight - ey.weight) > slack:
+            return False
+        if ex.weight != 0 and ey.weight != 0 \
+                and not _nodes_close(ex.node, ey.node, slack, close):
+            return False
+    close.add(key)
+    return True
 
 
 def check_equivalence(circuit_a: QuantumCircuit, circuit_b: QuantumCircuit,

@@ -10,6 +10,7 @@ from repro.algorithms import (ShorOrderFinder, beauregard_layout,
                               controlled_ua_circuit, factor,
                               multiplicative_order)
 from repro.algorithms import shor as shor_module
+from repro.dd import Package
 from repro.simulation import (KOperationsStrategy, MaxSizeStrategy,
                               SequentialStrategy, SimulationEngine)
 
@@ -232,14 +233,20 @@ class TestRunOverhead:
         assert (result.phase_bits, stats.matrix_vector_mults,
                 stats.matrix_matrix_mults, stats.peak_state_nodes) == expected
 
-    @pytest.mark.parametrize("mode", ["gates", "construct"])
-    def test_run_leaves_no_reference_cycle_holding_the_package(self, mode):
+    @pytest.mark.parametrize("mode,kernel", [
+        pytest.param("gates", "recursive", id="gates"),
+        pytest.param("construct", "recursive", id="construct"),
+        pytest.param("gates", "iterative", id="gates-iterative"),
+        pytest.param("construct", "iterative", id="construct-iterative"),
+    ])
+    def test_run_leaves_no_reference_cycle_holding_the_package(self, mode,
+                                                               kernel):
         """With the collector off, dropping the finder, the engine and the
         result must free the package by reference counting alone."""
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            engine = SimulationEngine()
+            engine = SimulationEngine(Package(kernel=kernel))
             package = weakref.ref(engine.package)
             finder = ShorOrderFinder(15, 7, mode=mode, seed=1, engine=engine)
             result = finder.run()

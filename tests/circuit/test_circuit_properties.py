@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.baseline import simulate_statevector
@@ -11,6 +11,14 @@ from repro.circuit.optimization import optimise
 from repro.verification import check_equivalence
 
 from ..conftest import circuits
+
+
+def _phase_sandwich(theta: float) -> QuantumCircuit:
+    qc = QuantumCircuit(1)
+    qc.h(0)
+    qc.p(theta, 0)
+    qc.h(0)
+    return qc
 
 
 class TestStructuralProperties:
@@ -80,7 +88,12 @@ class TestSemanticProperties:
         assert np.allclose(unitary @ unitary.conj().T, np.eye(size),
                            atol=1e-7)
 
+    # h; p(theta); h with a tolerance-scale theta leaves miter weights of
+    # exactly the complex-table tolerance
     @given(circuits(max_qubits=3, max_operations=6))
+    @example(_phase_sandwich(1e-10))
+    @example(_phase_sandwich(-1e-10))
+    @example(_phase_sandwich(1.5e-10))
     def test_miter_and_pointer_methods_agree(self, qc):
         mutated = QuantumCircuit(qc.num_qubits)
         mutated.compose(qc)

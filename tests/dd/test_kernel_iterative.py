@@ -9,6 +9,8 @@ matrix mirrors, the dense-block escape hatch, and the cache-statistics
 surface the benchmark harness reads.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,30 @@ def random_amplitudes(rng, num_qubits):
     amps = rng.normal(size=1 << num_qubits) \
         + 1j * rng.normal(size=1 << num_qubits)
     return amps / np.linalg.norm(amps)
+
+
+def structured_amplitudes(rng, num_qubits, kind):
+    """Seeded amplitudes: ``dense``, ``zero_blocks`` (aligned zero runs),
+    ``repeated`` (one sub-vector times a few factors) or ``basis`` (one
+    to three unit-magnitude amplitudes)."""
+    size = 1 << num_qubits
+    amps = random_amplitudes(rng, num_qubits)
+    span = 1 << int(rng.integers(num_qubits))
+    if kind == "zero_blocks":
+        for start in range(0, size, span):
+            if rng.random() < 0.5:
+                amps[start:start + span] = 0
+    elif kind == "repeated":
+        factors = (1, -1, 1j, 0.5)
+        amps = np.concatenate([amps[:span] * factors[rng.integers(4)]
+                               for _ in range(size // span)])
+    elif kind == "basis":
+        amps = np.zeros(size, dtype=complex)
+        count = min(size, 1 + int(rng.integers(3)))
+        for index in rng.choice(size, size=count, replace=False):
+            amps[index] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    norm = np.linalg.norm(amps)
+    return amps / norm if norm else amps
 
 
 def import_state(package, amps):
@@ -307,6 +333,74 @@ class TestDenseBlocks:
         result = engine.simulate(circuit, SequentialStrategy())
         assert type(result.state) is FlatEdge
         assert package.flat.stats()["dense"]["cutovers"] == 0
+
+    @pytest.mark.parametrize("kind", ["dense", "zero_blocks", "repeated",
+                                      "basis"])
+    def test_rebuild_returns_the_original_node(self, kind):
+        rng = np.random.default_rng(["dense", "zero_blocks", "repeated",
+                                     "basis"].index(kind))
+        checked = 0
+        for num_qubits in range(1, 11):
+            for _ in range(4):
+                amps = structured_amplitudes(rng, num_qubits, kind)
+                if not amps.any():
+                    continue
+                package = Package(kernel="iterative")
+                edge = import_state(package, amps)
+                back = package.flat.from_dense(
+                    package.flat.to_dense(edge).amps)
+                assert back.index == edge.index, (num_qubits, kind)
+                assert abs(back.weight - edge.weight) < 1e-12
+                checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("scale", ["pairs", "block"])
+    def test_sub_tolerance_blocks_round_trip(self, scale):
+        """Pairs with both children below tolerance have ratios near
+        tol/|tiny|: grouping them must neither overflow nor warn."""
+        rng = np.random.default_rng(71)
+        amps = random_amplitudes(rng, 6)
+        if scale == "pairs":
+            amps[32::2] *= 1e-20
+            amps[33::2] *= 5e-11
+        else:
+            amps *= 1e-12
+        package = Package(kernel="iterative")
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            back = package.flat.from_dense(amps)
+        rebuilt = flat_to_numpy(package, back, 6)
+        overlap = abs(np.vdot(amps, rebuilt)) ** 2 \
+            / (np.vdot(amps, amps).real * np.vdot(rebuilt, rebuilt).real)
+        assert overlap >= 1 - 1e-12
+
+    def test_two_amplitude_block(self):
+        package = Package(kernel="iterative")
+        edge = package.flat.from_dense(np.array([0.6, 0.8j]))
+        np.testing.assert_allclose(flat_to_numpy(package, edge, 1),
+                                   [0.6, 0.8j], atol=1e-12)
+
+    def test_non_power_of_two_block_rejected(self):
+        with pytest.raises(ValueError):
+            Package(kernel="iterative").flat.from_dense(np.ones(6))
+
+    def test_rebuild_pins_interning_order(self):
+        """Golden values: the groups are interned in sorted order with the
+        last member as representative, so near-tolerance weights meet the
+        complex table in a fixed order.  Another order moves these."""
+        rng = np.random.default_rng(2026)
+        base = rng.normal(size=8) + 1j * rng.normal(size=8)
+        factors = np.array([1, -1, 1j, 0.5, 0.5j, -0.25])
+        amps = np.concatenate([base * factors[rng.integers(len(factors))]
+                               for _ in range(32)])
+        amps += 3e-11 * (rng.normal(size=256) + 1j * rng.normal(size=256))
+        amps[rng.random(256) < 0.1] = 0
+        amps /= np.linalg.norm(amps)
+        package = Package(kernel="iterative")
+        edge = package.flat.from_dense(amps)
+        assert (edge.index, len(package.complex_table),
+                package.counters.nodes_created,
+                package.count_nodes(edge)) == (124, 83, 124, 124)
 
 
 class TestDeterministicCutover:

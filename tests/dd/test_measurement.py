@@ -194,3 +194,73 @@ class TestNoReferenceCycles:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("entry", [
+        "iterative_package", "vector_from_numpy", "matrix_from_numpy",
+        "build_diagonal_dd", "build_two_level_dd",
+        "prune_small_contributions", "swap_adjacent_levels",
+        "partial_trace", "diagonal_expectation", "import_vector",
+        "import_matrix", "iterative_sota_run", "iterative_smax16_run"])
+    def test_entry_point_frees_the_package_without_the_cyclic_collector(
+            self, entry):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        try:
+            package, kernel = _exercise(entry)
+            assert package() is None
+            assert kernel is None or kernel() is None
+            assert gc.collect() == 0  # no memo left behind in a cycle
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+def _exercise(entry: str) -> tuple:
+    """Run ``entry`` on a fresh package and drop everything it returned;
+    give back weak references to the package and its flat kernel."""
+    from repro.algorithms import grover_circuit
+    from repro.dd import (build_diagonal_dd, build_gate_dd,
+                          build_two_level_dd, diagonal_expectation,
+                          matrix_from_numpy, prune_small_contributions,
+                          swap_adjacent_levels)
+    from repro.simulation import (MaxSizeStrategy, SequentialStrategy,
+                                  SimulationEngine)
+    from repro.simulation.density import partial_trace
+
+    iterative = entry.startswith(("iterative", "import"))
+    package = Package(kernel="iterative" if iterative else "recursive")
+    # Built with none of the helpers under test, so each case fails only
+    # on its own helper.
+    c, s = math.cos(0.3), math.sin(0.3)
+    state = package.basis_state(3, 0)
+    for qubit in range(3):
+        state = package.apply_gate(state, ((c, -s), (s, c)), qubit)
+    if entry == "vector_from_numpy":
+        vector_from_numpy(package, np.arange(1, 9) / math.sqrt(204))
+    elif entry == "matrix_from_numpy":
+        matrix_from_numpy(package, np.eye(4))
+    elif entry == "build_diagonal_dd":
+        build_diagonal_dd(package, [1, -1, 1, 1], 2)
+    elif entry == "build_two_level_dd":
+        build_two_level_dd(package, 3, 1, 6, [[0, 1], [1, 0]])
+    elif entry == "prune_small_contributions":
+        assert prune_small_contributions(package, state, 0.1).edges_cut
+    elif entry == "swap_adjacent_levels":
+        swap_adjacent_levels(package, state, 0)
+    elif entry == "partial_trace":
+        partial_trace(package, package.outer_product(state, state), 0)
+    elif entry == "diagonal_expectation":
+        diagonal_expectation(package, state, lambda index: index)
+    elif entry == "import_vector":
+        package.flat.import_vector(state.node.edges[0])
+    elif entry == "import_matrix":
+        package.flat.import_matrix(
+            build_gate_dd(package, [[0, 1], [1, 0]], 3, 1))
+    elif entry != "iterative_package":
+        strategy = SequentialStrategy() if entry == "iterative_sota_run" \
+            else MaxSizeStrategy(16)
+        SimulationEngine(package).simulate(grover_circuit(6, 13).circuit,
+                                           strategy)
+    kernel = weakref.ref(package.flat) if package.flat is not None else None
+    return weakref.ref(package), kernel

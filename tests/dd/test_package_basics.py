@@ -176,9 +176,16 @@ def reference_count(edge) -> int:
 class TestCountNodes:
     """``count_nodes`` counts one level at a time; it must stay exact."""
 
-    @pytest.mark.parametrize("identity_edges", [False, True])
-    def test_matches_reference_walk_after_every_gate(self, identity_edges):
-        package = Package(identity_edges=identity_edges)
+    @pytest.mark.parametrize("options", [
+        pytest.param({}, id="False"),
+        pytest.param({"identity_edges": True}, id="True"),
+        # flat states: FlatKernel.count_nodes, checked against the
+        # materialised object nodes
+        pytest.param({"kernel": "iterative", "dense_blocks": False},
+                     id="iterative"),
+    ])
+    def test_matches_reference_walk_after_every_gate(self, options):
+        package = Package(**options)
         rng = Random(8)
         num_qubits = 8
         state = package.zero_state(num_qubits)

@@ -105,6 +105,13 @@ class TestNotEquivalent:
         b.rz(0.5001, 0)
         assert not check_equivalence(a, b).equivalent
 
+    @pytest.mark.parametrize("method", ["miter", "pointer"])
+    def test_small_phase_is_not_absorbed_by_the_slack(self, method):
+        phased = QuantumCircuit(1)
+        phased.p(1e-5, 0)
+        assert not check_equivalence(phased, QuantumCircuit(1),
+                                     method=method).equivalent
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             check_equivalence(QuantumCircuit(1), QuantumCircuit(1),
