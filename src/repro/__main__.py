@@ -1125,26 +1125,8 @@ def main(argv: list[str] | None = None) -> int:
                            "plan) instead of fuzzing")
     fuzz.set_defaults(handler=_cmd_fuzz)
 
-    bench = commands.add_parser(
-        "bench", help="run the reproducible DD-kernel benchmark",
-        add_help=False)
-    bench.set_defaults(handler=_cmd_bench)
-
-    # `bench` owns its full argument set in repro.bench; pass the remainder
-    # through untouched so `python -m repro bench --smoke` just works.
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-        return bench_main(argv[1:])
-
     args = parser.parse_args(argv)
     return args.handler(args)
-
-
-def _cmd_bench(args) -> int:  # pragma: no cover - dispatched above
-    from .bench import main as bench_main
-    return bench_main([])
 
 
 if __name__ == "__main__":

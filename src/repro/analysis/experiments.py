@@ -121,7 +121,7 @@ def _cell(instance: BenchmarkInstance, spec: str,
     The paper-artifact experiments compare Eq. 1 against Eq. 2 on the
     paper's cost model: explicit gate DDs and one matrix-vector
     multiplication per gate.  The local-gate fast path is therefore
-    disabled here (the kernel benchmark harness measures it instead).
+    disabled here (perfbench's sota arms time it instead).
     """
     return SweepTask(name=instance.name, strategy=spec,
                      repetition=repetition,

@@ -201,7 +201,7 @@ def supremacy_suite(profile: str = "default") -> list[BenchmarkInstance]:
 
 
 def quick_suite() -> list[BenchmarkInstance]:
-    """Small instances for CI and pytest-benchmark runs."""
+    """Small instances for CI and the test suite."""
     return (grover_suite("quick") + shor_suite("quick")
             + supremacy_suite("quick"))
 

@@ -29,17 +29,7 @@ def vector_to_numpy(state: Edge, num_qubits: int) -> np.ndarray:
     if state.node.level != num_qubits - 1:
         raise ValueError(f"state has {state.node.level + 1} qubits, "
                          f"expected {num_qubits}")
-
-    def fill(node, offset: int, weight: complex) -> None:
-        if node.level == -1:
-            result[offset] = weight
-            return
-        span = 1 << node.level
-        for bit, child in enumerate(node.edges):
-            if child.weight != 0:
-                fill(child.node, offset + bit * span, weight * child.weight)
-
-    fill(state.node, 0, state.weight)
+    _fill_vector(result, state.node, 0, state.weight)
     return result
 
 
@@ -52,31 +42,7 @@ def matrix_to_numpy(matrix: Edge, num_qubits: int) -> np.ndarray:
     if matrix.node.level > num_qubits - 1:
         raise ValueError(f"matrix has {matrix.node.level + 1} qubits, "
                          f"expected {num_qubits}")
-
-    # Identity-skipping DDs (``Package(identity_edges=True)``) may point an
-    # edge at a node more than one level down (or at the terminal from any
-    # level); the skipped levels are implicit identity factors.  ``expected``
-    # tracks the level this position *should* be at; while the node sits
-    # lower, expand one implicit I2 level: only the diagonal blocks exist
-    # and both reuse the same (node, weight) payload.
-    def fill(node, row: int, col: int, weight: complex,
-             expected: int) -> None:
-        if node.level < expected:
-            span = 1 << expected
-            fill(node, row, col, weight, expected - 1)
-            fill(node, row + span, col + span, weight, expected - 1)
-            return
-        if node.level == -1:
-            result[row, col] = weight
-            return
-        span = 1 << node.level
-        for index, child in enumerate(node.edges):
-            if child.weight != 0:
-                fill(child.node, row + (index >> 1) * span,
-                     col + (index & 1) * span, weight * child.weight,
-                     node.level - 1)
-
-    fill(matrix.node, 0, 0, matrix.weight, num_qubits - 1)
+    _fill_matrix(result, matrix.node, 0, 0, matrix.weight, num_qubits - 1)
     return result
 
 
@@ -102,8 +68,46 @@ def matrix_from_numpy(package: Package, matrix) -> Edge:
     return _build_matrix(package, matrix, num_qubits - 1, 0, 0)
 
 
-# Module-level builders: a self-calling closure would keep the package
-# alive in a reference cycle until the cyclic collector runs.
+# Module-level walkers: a self-calling closure would keep the package (or
+# the output array) alive in a reference cycle until the cyclic collector
+# runs.
+
+def _fill_vector(result: np.ndarray, node, offset: int,
+                 weight: complex) -> None:
+    if node.level == -1:
+        result[offset] = weight
+        return
+    span = 1 << node.level
+    for bit, child in enumerate(node.edges):
+        if child.weight != 0:
+            _fill_vector(result, child.node, offset + bit * span,
+                         weight * child.weight)
+
+
+def _fill_matrix(result: np.ndarray, node, row: int, col: int,
+                 weight: complex, expected: int) -> None:
+    # Identity-skipping DDs (``Package(identity_edges=True)``) may point an
+    # edge at a node more than one level down (or at the terminal from any
+    # level); the skipped levels are implicit identity factors.  ``expected``
+    # tracks the level this position *should* be at; while the node sits
+    # lower, expand one implicit I2 level: only the diagonal blocks exist
+    # and both reuse the same (node, weight) payload.
+    if node.level < expected:
+        span = 1 << expected
+        _fill_matrix(result, node, row, col, weight, expected - 1)
+        _fill_matrix(result, node, row + span, col + span, weight,
+                     expected - 1)
+        return
+    if node.level == -1:
+        result[row, col] = weight
+        return
+    span = 1 << node.level
+    for index, child in enumerate(node.edges):
+        if child.weight != 0:
+            _fill_matrix(result, child.node, row + (index >> 1) * span,
+                         col + (index & 1) * span, weight * child.weight,
+                         node.level - 1)
+
 
 def _build_vector(package: Package, amplitudes, level: int,
                   offset: int) -> Edge:

@@ -197,13 +197,6 @@ class FlatKernel:
     DENSE_AMP_COST = 0.0015
     #: EWMA smoothing factor for the per-pass unit estimate
     DENSE_EWMA_ALPHA = 0.3
-    #: deterministic-mode integer cost model: one worklist unit is deemed
-    #: worth this many amplitude touches (= DENSE_UNIT_COST /
-    #: DENSE_AMP_COST, with the microseconds cancelled out) ...
-    DENSE_DET_UNIT_WEIGHT = 800
-    #: ... and a dense pass carries this fixed overhead, in amplitude
-    #: touches (= DENSE_FIXED_COST / DENSE_AMP_COST)
-    DENSE_DET_FIXED_UNITS = 6667
 
     def __init__(self, package) -> None:
         # The kernel keeps the package parts it reads, never the package
@@ -216,9 +209,6 @@ class FlatKernel:
         self.zero = package.zero
         #: object ids of identity matrix DDs (the I*v shortcut)
         self.identity_ids = package._mult_identity_ids
-        #: cutover decision mode (see apply_gate): False = EWMA-smoothed
-        #: cost estimate, True = pure integer rule over the last pass
-        self.deterministic = bool(getattr(package, "deterministic", False))
         self.tolerance = tol = package.complex_table.tolerance
         self._grid = 1.0 / tol
         #: canonical-representative lookup (attractor semantics, see _rnd)
@@ -865,12 +855,9 @@ class FlatKernel:
         path forever: their per-pass unit count never approaches the
         amplitude count.
 
-        Under ``Package(deterministic=True)`` the EWMA estimate is replaced
-        by an integer rule over the worklist units of the pass just
-        completed (same decision boundary, microsecond calibration
-        constants cancelled out), making the cutover step -- and every
-        scheduling count downstream of it -- a pure function of the
-        operation stream.
+        The units are counts, not clock readings, so the cutover step --
+        and every scheduling count downstream of it -- is a pure function
+        of the operation stream.
         """
         if edge.weight == 0:
             return FlatEdge(self, 0, 0j)
@@ -881,21 +868,6 @@ class FlatKernel:
             return result
         units = self.apply_lookups + self.add_lookups - units0
         self._dense_units += units
-        if self.deterministic:
-            # Deterministic mode: decide from the single pass just counted,
-            # with integer weights -- no smoothing state carried between
-            # passes and no float accumulation, so the cutover step is a
-            # pure function of (pass units, register size).  Two runs of
-            # the same operation stream cut over at the same gate on any
-            # machine, under any load, in any worker interleaving.
-            if self._dense_units >= self.DENSE_WARMUP_UNITS:
-                amps = 1 << (self.lvl[ri] + 1)
-                if amps <= self.DENSE_MAX_AMPS \
-                        and units * self.DENSE_DET_UNIT_WEIGHT \
-                        >= self.DENSE_DET_FIXED_UNITS + amps:
-                    self.dense_cutovers += 1
-                    return self.to_dense(result)
-            return result
         ewma = self._dense_ewma
         if ewma is None:
             ewma = float(units)

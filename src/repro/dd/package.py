@@ -99,8 +99,8 @@ class GcStats:
 
     Long-running simulations live or die by their memory behaviour; these
     counters make every collection observable (``Package.cache_stats()``,
-    ``SimulationStatistics``, ``BENCH_kernel.json``) instead of a silent
-    pause.  ``ineffective`` counts collections that freed nothing -- the
+    ``SimulationStatistics``, the JSONL trace) instead of a silent pause.
+    ``ineffective`` counts collections that freed nothing -- the
     signature of a fully-reachable working set that has outgrown the
     configured node limit (the thrash scenario the engine's
     :class:`~repro.simulation.memory.MemoryGovernor` defuses).
@@ -176,8 +176,7 @@ class Package:
                  identity_shortcut: bool = True,
                  kernel: str = "recursive",
                  identity_edges: bool = False,
-                 dense_blocks: bool = True,
-                 deterministic: bool = False) -> None:
+                 dense_blocks: bool = True) -> None:
         if kernel not in ("recursive", "iterative"):
             raise ValueError(f"kernel must be 'recursive' or 'iterative', "
                              f"got {kernel!r}")
@@ -226,14 +225,6 @@ class Package:
         #: ``to_flat``/``from_dense`` round-trip through the same canonical
         #: store, so results are bit-identical to the pure-DD path.
         self.dense_blocks = dense_blocks
-        #: deterministic dense-block cutover: replaces the EWMA-smoothed
-        #: microsecond cost model with a pure integer rule over counted
-        #: worklist units, so the cutover step -- and therefore every
-        #: scheduling count downstream of it -- is a function of the input
-        #: alone, never of smoothing state or calibration constants tuned
-        #: in wall-clock units.  See :meth:`FlatKernel.apply_gate
-        #: <repro.dd.kernel.FlatKernel.apply_gate>`.
-        self.deterministic = deterministic
         self.flat = FlatKernel(self) if kernel == "iterative" else None
 
     # ------------------------------------------------------------------
@@ -1207,8 +1198,8 @@ class Package:
 
         The ``compute`` section reports the slot-based memoisation tables
         (one per DD operation), ``unique`` the hash-consing tables and
-        ``complex`` the weight-interning table.  This is the report the
-        benchmark harness persists into ``BENCH_kernel.json``.
+        ``complex`` the weight-interning table.  perfbench's ``--trace 1``
+        hit rates are read from this report.
         """
         unique = {}
         for name, table in (("vectors", self.tables.vectors),
@@ -1237,8 +1228,8 @@ class Package:
         }
         if self.flat is not None:
             # The kernel's memo traffic is folded into the corresponding
-            # compute-table rows (one logical operation, one row -- the
-            # bench report reads add_vec/apply_gate/mult_mv by name), and
+            # compute-table rows (one logical operation, one row --
+            # perfbench reads add_vec/apply_gate/mult_mv by name), and
             # also reported raw under "kernel".
             kernel_stats = self.flat.stats()
             stats["kernel"] = kernel_stats

@@ -43,32 +43,38 @@ def serialize_dd(edge: Edge) -> dict[str, Any]:
     """Serialise a vector or matrix DD to a JSON-compatible dict."""
     kind = "matrix" if isinstance(edge.node, MatrixNode) else "vector"
     nodes: list[list] = []
-    index_of: dict[int, int] = {}
-
-    def visit(node) -> int:
-        if node.level == -1:
-            return _TERMINAL_REF
-        found = index_of.get(id(node))
-        if found is not None:
-            return found
-        encoded_children = []
-        for child in node.edges:
-            if child.weight == 0:
-                encoded_children.append([_TERMINAL_REF, 0.0, 0.0])
-            else:
-                encoded_children.append([visit(child.node),
-                                         child.weight.real,
-                                         child.weight.imag])
-        index = len(nodes)
-        index_of[id(node)] = index
-        nodes.append([node.level, *encoded_children])
-        return index
-
     if edge.weight == 0:
         root = [_TERMINAL_REF, 0.0, 0.0]
     else:
-        root = [visit(edge.node), edge.weight.real, edge.weight.imag]
+        root = [_encode_node(edge.node, nodes, {}), edge.weight.real,
+                edge.weight.imag]
     return {"kind": kind, "root": root, "nodes": nodes}
+
+
+def _encode_node(node, nodes: list[list], index_of: dict[int, int]) -> int:
+    """Append ``node``'s sub-DD to ``nodes`` bottom-up; return its index.
+
+    Module-level rather than a closure: a self-calling closure would keep
+    ``nodes`` and ``index_of`` alive in a reference cycle until the cyclic
+    collector runs.
+    """
+    if node.level == -1:
+        return _TERMINAL_REF
+    found = index_of.get(id(node))
+    if found is not None:
+        return found
+    encoded_children = []
+    for child in node.edges:
+        if child.weight == 0:
+            encoded_children.append([_TERMINAL_REF, 0.0, 0.0])
+        else:
+            encoded_children.append([_encode_node(child.node, nodes,
+                                                  index_of),
+                                     child.weight.real, child.weight.imag])
+    index = len(nodes)
+    index_of[id(node)] = index
+    nodes.append([node.level, *encoded_children])
+    return index
 
 
 def _decode_edge_ref(encoded, where: str) -> tuple[int, complex]:

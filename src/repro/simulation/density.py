@@ -115,6 +115,25 @@ def _reduce(package: Package, node, qubit: int,
     return result
 
 
+def _diag_trace(node, cache: dict[int, complex]) -> complex:
+    """The trace of the sub-matrix under ``node`` (diagonal quadrants only).
+
+    Module level, with the memo as an argument: a self-calling closure
+    would keep the memo alive in a reference cycle.
+    """
+    if node.level == -1:
+        return 1 + 0j
+    found = cache.get(id(node))
+    if found is not None:
+        return found
+    total = 0j
+    for child in (node.edges[0], node.edges[3]):
+        if child.weight != 0:
+            total += child.weight * _diag_trace(child.node, cache)
+    cache[id(node)] = total
+    return total
+
+
 class DensityMatrixSimulator:
     """Evolves a density-matrix DD through gates and Kraus channels."""
 
@@ -213,24 +232,9 @@ class DensityMatrixSimulator:
         """``Tr(rho^2)``: 1 for pure states, 1/2^n for maximal mixing."""
         package = self.package
         squared = package.multiply_matrix_matrix(self.rho, self.rho)
-        cache: dict[int, complex] = {}
-
-        def diag_trace(node) -> complex:
-            if node.level == -1:
-                return 1 + 0j
-            found = cache.get(id(node))
-            if found is not None:
-                return found
-            total = 0j
-            for child in (node.edges[0], node.edges[3]):
-                if child.weight != 0:
-                    total += child.weight * diag_trace(child.node)
-            cache[id(node)] = total
-            return total
-
         if squared.weight == 0:
             return 0.0
-        return (squared.weight * diag_trace(squared.node)).real
+        return (squared.weight * _diag_trace(squared.node, {})).real
 
     def expectation_diagonal(self, value) -> float:
         """``sum_x P(x) value(x)`` for a diagonal observable."""

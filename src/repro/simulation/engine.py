@@ -106,7 +106,6 @@ class _Run:
         #: the resilient driver ticks per flattened operation itself and
         #: flips this off so apply/combine do not double-fire the hook
         self._tick_in_apply = True
-        self.track_state_size = engine.track_state_size
         self.degradation = degradation
         self.reorder = reorder
         #: the strategy driving this run (set by ``_execute``; the
@@ -186,9 +185,8 @@ class _Run:
         """One simulation step: ``state <- matrix x state`` (Eq. 1 step)."""
         self.state = self.package.multiply_matrix_vector(matrix, self.state)
         self.statistics.matrix_vector_mults += 1
-        if self.track_state_size:
-            self.statistics.record_state_size(
-                self.package.count_nodes(self.state))
+        self.statistics.record_state_size(
+            self.package.count_nodes(self.state))
         self.engine.maybe_collect(self)
         if self.trace is not None:
             self._trace_step("matrix")
@@ -212,9 +210,8 @@ class _Run:
             self.state, matrix, operation.target, controls)
         self.statistics.matrix_vector_mults += 1
         self.statistics.local_gate_applications += 1
-        if self.track_state_size:
-            self.statistics.record_state_size(
-                self.package.count_nodes(self.state))
+        self.statistics.record_state_size(
+            self.package.count_nodes(self.state))
         self.engine.maybe_collect(self)
         if self.trace is not None:
             self._trace_step(operation.gate)
@@ -308,27 +305,20 @@ class SimulationEngine:
         pathway are applied with :meth:`Package.apply_gate` -- the local-gate
         fast path that never builds the n-qubit gate DD.  Disable to force
         the paper-literal pathway (explicit gate DD + matrix-vector
-        multiplication per gate), e.g. for the paper-artifact experiments
-        or A/B benchmarking.
-    track_state_size:
-        When true (the default), the state DD is measured after every
-        simulation step so ``peak_state_nodes`` is exact.  That measurement
-        traverses the whole state DD -- on a large state driven by cheap
-        local gates it can dominate the run, so timing-focused callers
-        (the benchmark harness) turn it off; ``final_state_nodes`` stays
-        exact either way.
+        multiplication per gate), e.g. for the paper-artifact experiments.
+
+    The state DD is measured after every simulation step, so
+    ``peak_state_nodes`` is exact.
     """
 
     def __init__(self, package: Package | None = None,
                  gc_node_limit: int | None = 500_000,
                  use_local_apply: bool = True,
-                 governor: MemoryGovernor | None = None,
-                 track_state_size: bool = True) -> None:
+                 governor: MemoryGovernor | None = None) -> None:
         self.package = package or Package()
         self.governor = governor if governor is not None \
             else MemoryGovernor(node_limit=gc_node_limit)
         self.use_local_apply = use_local_apply
-        self.track_state_size = track_state_size
         self._gate_cache: dict[tuple[Operation, int], Edge] = {}
         # 2x2 entries + control map per operation for the local fast path
         # (skips the numpy matrix construction on every application).
@@ -336,16 +326,6 @@ class SimulationEngine:
         # the values keep a reference so ids stay valid; hashing a frozen
         # dataclass on every application is measurably slower.
         self._local_gate_cache: dict[int, tuple] = {}
-
-    @property
-    def gc_node_limit(self) -> int | None:
-        """The governor's *current* collection threshold (legacy alias)."""
-        return self.governor.limit
-
-    @gc_node_limit.setter
-    def gc_node_limit(self, value: int | None) -> None:
-        self.governor.limit = value
-        self.governor.initial_limit = value
 
     # ------------------------------------------------------------------
 
@@ -598,14 +578,14 @@ class SimulationEngine:
                                   audit_every=audit_every)
                 else:
                     strategy.execute(run, circuit)
+                # A state that finished on the dense-block fast path
+                # materialises back into its canonical DD here, inside the
+                # timed region -- callers always receive a DD-backed state.
+                run.state = self.package.solidify(run.state)
             finally:
                 statistics.wall_time_seconds = time.perf_counter() - started
         statistics.counters = self.package.counters.delta(counters_before)
         statistics.gc = self.package.gc_stats.delta(gc_before)
-        # A state that finished on the dense-block fast path materialises
-        # back into its canonical DD here, outside the timed region --
-        # callers always receive a DD-backed state.
-        run.state = self.package.solidify(run.state)
         statistics.final_state_nodes = self.package.count_nodes(run.state)
         self._stamp_coverage_signals(statistics)
         if base_statistics is not None:

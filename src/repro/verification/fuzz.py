@@ -6,8 +6,8 @@ circuits the test suite happened to pin.  A :class:`DifferentialFuzzer`
 draws random Clifford+T / rotation circuits from a rotating seed, runs
 every registered backend against a reference (dense statevector by
 default), and flags any pair below the fidelity floor of ``1 - 1e-9``
--- the same oracle the differential test suite and the bench fidelity
-receipts use.
+-- the same oracle the differential test suite and perfbench's
+correctness checks use.
 
 A failure is only useful if a human can read it, so every failing
 circuit is **minimized** before it is reported, by the same
@@ -61,8 +61,8 @@ CORPUS_SCHEMA = 1
 #: schema of structural case reproducers (operations + block + plan)
 CASE_SCHEMA = 2
 
-#: agreement threshold -- identical to tests/test_differential.py and the
-#: bench receipts, so the fuzzer ratchets the same invariant CI gates on
+#: agreement threshold -- identical to tests/test_differential.py and
+#: perfbench's checks, so the fuzzer ratchets the same invariant CI gates on
 FIDELITY_FLOOR = 1 - 1e-9
 
 

@@ -6,7 +6,7 @@ the recursive per-node core it shadows.  These tests pin the pieces the
 differential suite cannot see in isolation: the fused sign-canonical add
 memo, store compaction with in-place root remapping, identity-skipping
 matrix mirrors, the dense-block escape hatch, and the cache-statistics
-surface the benchmark harness reads.
+surface perfbench reads.
 """
 
 import warnings
@@ -404,19 +404,17 @@ class TestDenseBlocks:
 
 
 class TestDeterministicCutover:
-    """``Package(deterministic=True)``: the integer-rule cutover.
+    """The dense-block cutover is a function of the operation stream.
 
-    The EWMA cost model carries float smoothing state between passes; the
-    deterministic mode replaces it with an integer rule over the worklist
-    units of the single pass just counted, so the cutover gate is a pure
-    function of the operation stream -- identical across runs, machines,
-    and worker interleavings.
+    The cost model smooths counted worklist units (apply frames plus add
+    probes), never clock readings, into an EWMA, so the cutover gate and
+    the dense statistics repeat exactly from run to run.
     """
 
     @staticmethod
-    def _run(deterministic, num_qubits=4, gates=40, seed=59):
+    def _run(num_qubits=4, gates=40, seed=59):
         rng = np.random.default_rng(seed)
-        package = Package(kernel="iterative", deterministic=deterministic)
+        package = Package(kernel="iterative")
         recursive = Package()
         amps = random_amplitudes(rng, num_qubits)
         state = import_state(package, amps)
@@ -440,32 +438,23 @@ class TestDeterministicCutover:
         return cut_at, package.flat.stats()["dense"], state, \
             vector_to_numpy(rec_state, num_qubits)
 
-    def test_cutover_fires_without_float_smoothing_state(self):
-        cut_at, stats, state, oracle = self._run(deterministic=True)
+    def test_cutover_fires_and_records_the_ewma(self):
+        cut_at, stats, state, oracle = self._run()
         assert cut_at is not None
         assert stats["cutovers"] == 1
-        assert stats["ewma_units"] is None  # no EWMA state accumulated
+        assert stats["ewma_units"] is not None
         assert type(state) is DenseState
         np.testing.assert_allclose(state.amps, oracle, atol=1e-9)
 
     def test_cutover_is_reproducible_run_to_run(self):
-        first = self._run(deterministic=True)
-        second = self._run(deterministic=True)
+        first = self._run()
+        second = self._run()
         assert first[0] == second[0]
         assert first[1] == second[1]
 
-    def test_integer_rule_tracks_the_ewma_boundary(self):
-        # Same decision boundary, calibration constants cancelled: on a
-        # dense random-unitary stream both modes cut over, and at the
-        # same gate for this workload.
-        det_cut, _, _, _ = self._run(deterministic=True)
-        ewma_cut, ewma_stats, _, _ = self._run(deterministic=False)
-        assert ewma_stats["cutovers"] == 1
-        assert det_cut == ewma_cut
-
 
 class TestCacheStatsSurface:
-    """The statistics shape the bench harness and regression gate read."""
+    """The statistics shape perfbench's ``--trace 1`` metrics read."""
 
     def test_zero_lookup_tables_report_zero_hit_rate(self):
         stats = Package().cache_stats()
@@ -503,18 +492,18 @@ class TestAddVecHitRateOnGrover:
 
     Historically ``add_vec`` ran at a 100% miss rate (weights baked into
     the keys made every butterfly addition unique).  With canonical
-    modulo-weight keys and the fused +/- entries, the Grover-10 bench
-    workload sustains ~0.5; gate at > 0.3 so a key regression cannot land
-    silently.
+    modulo-weight keys and the fused +/- entries, Grover-10 (marked
+    element 311) sustains ~0.5; gate at > 0.3 so a key regression cannot
+    land silently.
     """
 
     def test_grover_10_add_vec_hit_rate(self):
-        from repro.bench import WORKLOADS
+        from repro.algorithms.grover import grover_circuit
         from repro.simulation import SequentialStrategy, SimulationEngine
-        (workload,) = [w for w in WORKLOADS if w.name == "grover_10"]
         package = Package(kernel="iterative", identity_edges=True)
         engine = SimulationEngine(package=package, use_local_apply=True)
-        engine.simulate(workload.build(), SequentialStrategy())
+        engine.simulate(grover_circuit(10, 311).circuit,
+                        SequentialStrategy())
         merged = package.cache_stats()["compute"]["add_vec"]
         assert merged["lookups"] > 0
         assert merged["hit_rate"] > 0.3, merged

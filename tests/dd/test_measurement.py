@@ -200,7 +200,8 @@ class TestNoReferenceCycles:
         "build_diagonal_dd", "build_two_level_dd",
         "prune_small_contributions", "swap_adjacent_levels",
         "partial_trace", "diagonal_expectation", "import_vector",
-        "import_matrix", "iterative_sota_run", "iterative_smax16_run"])
+        "import_matrix", "iterative_sota_run", "iterative_smax16_run",
+        "vector_to_numpy", "matrix_to_numpy", "serialize_dd", "purity"])
     def test_entry_point_frees_the_package_without_the_cyclic_collector(
             self, entry):
         was_enabled = gc.isenabled()
@@ -222,11 +223,13 @@ def _exercise(entry: str) -> tuple:
     from repro.algorithms import grover_circuit
     from repro.dd import (build_diagonal_dd, build_gate_dd,
                           build_two_level_dd, diagonal_expectation,
-                          matrix_from_numpy, prune_small_contributions,
+                          matrix_from_numpy, matrix_to_numpy,
+                          prune_small_contributions, serialize_dd,
                           swap_adjacent_levels)
     from repro.simulation import (MaxSizeStrategy, SequentialStrategy,
                                   SimulationEngine)
-    from repro.simulation.density import partial_trace
+    from repro.simulation.density import (DensityMatrixSimulator,
+                                          partial_trace)
 
     iterative = entry.startswith(("iterative", "import"))
     package = Package(kernel="iterative" if iterative else "recursive")
@@ -257,6 +260,16 @@ def _exercise(entry: str) -> tuple:
     elif entry == "import_matrix":
         package.flat.import_matrix(
             build_gate_dd(package, [[0, 1], [1, 0]], 3, 1))
+    elif entry == "vector_to_numpy":
+        vector_to_numpy(state, 3)
+    elif entry == "matrix_to_numpy":
+        matrix_to_numpy(package.outer_product(state, state), 3)
+    elif entry == "serialize_dd":
+        serialize_dd(state)
+    elif entry == "purity":
+        density = DensityMatrixSimulator(3, package)
+        density.rho = package.outer_product(state, state)
+        assert density.purity() == pytest.approx(1.0)
     elif entry != "iterative_package":
         strategy = SequentialStrategy() if entry == "iterative_sota_run" \
             else MaxSizeStrategy(16)

@@ -1,13 +1,16 @@
 """Engine-level behaviour: gate caching, GC, initial states, results."""
 
+import time
 from random import Random
 
 import numpy as np
 import pytest
 
 from repro.algorithms.grover import grover_circuit
+from repro.algorithms.supremacy import supremacy_circuit
 from repro.circuit import Operation, QuantumCircuit
 from repro.dd import Package, vector_to_numpy
+from repro.dd.kernel import DenseState
 from repro.simulation import (SequentialStrategy, SimulationEngine,
                               SimulationResult)
 
@@ -90,6 +93,29 @@ class TestSimulate:
         assert stats.circuit_name == "meta_test"
         assert stats.num_qubits == 3
         assert stats.final_state_nodes > 0
+
+    def test_final_conversion_is_timed_and_counted(self, monkeypatch):
+        # an iterative run that ends on a dense block converts it back to
+        # a DD; that rebuild belongs to the run's time and work
+        package = Package(kernel="iterative")
+        converted = []
+        solidify = package.solidify
+
+        def slow_solidify(state):
+            converted.append(type(state))
+            time.sleep(0.05)
+            return solidify(state)
+
+        monkeypatch.setattr(package, "solidify", slow_solidify)
+        engine = SimulationEngine(package)
+        initial = engine.initial_state(9)
+        before = package.counters.nodes_created
+        stats = engine.simulate(supremacy_circuit(3, 3, 8, 1).circuit,
+                                initial_state=initial).statistics
+        assert converted == [DenseState]
+        assert stats.wall_time_seconds >= 0.05
+        assert stats.counters.nodes_created == \
+            package.counters.nodes_created - before
 
 
 class TestGarbageCollection:

@@ -119,6 +119,9 @@ class TestThrashRegression:
         result = engine.simulate(circuit, SequentialStrategy())
         gc = result.statistics.gc
         assert gc.collections > result.statistics.matrix_vector_mults / 2
+        # collecting on every step must not cost correctness either
+        assert np.allclose(vector_to_numpy(result.state, 8),
+                           simulate_statevector(circuit), atol=1e-9)
 
     def test_ineffective_collection_keeps_compute_tables(self):
         # when nothing is freed, the compute tables are provably still

@@ -19,6 +19,10 @@ from random import Random
 import numpy as np
 import pytest
 
+from repro.algorithms.clifford import random_clifford_circuit
+from repro.algorithms.grover import grover_circuit
+from repro.algorithms.qft import qft_circuit
+from repro.algorithms.supremacy import supremacy_circuit
 from repro.baseline import simulate_statevector
 from repro.circuit import QuantumCircuit
 from repro.dd import sample_counts
@@ -49,6 +53,33 @@ KERNEL_CONFIGS = {
                                       identity_edges=True,
                                       dense_blocks=False),
 }
+
+#: paper-family circuits the local-apply grid runs next to its seeded
+#: random circuit: Grover with a repeated block, QFT, a random supremacy
+#: circuit and a random Clifford circuit, at 8-10 qubits
+LOCAL_APPLY_CIRCUITS = {
+    "grover_8": lambda: grover_circuit(8, 77).circuit,
+    "qft_10": lambda: qft_circuit(10),
+    "supremacy_3x3_d8": lambda: supremacy_circuit(3, 3, 8, 1).circuit,
+    "clifford_10_d10":
+        lambda: random_clifford_circuit(10, 10, seed=2).circuit,
+}
+
+
+def _local_apply_cases() -> list:
+    """(spec, config, circuit name) cases; ``None`` is the random circuit,
+    whose cases keep their ``spec-config`` ids."""
+    cases = []
+    for name in (None, *LOCAL_APPLY_CIRCUITS):
+        suffix = "" if name is None else f"-{name}"
+        for config in sorted(KERNEL_CONFIGS):
+            if not config.startswith("iterative"):
+                continue
+            for spec in ("sequential", "k=4", "smax=64"):
+                cases.append(pytest.param(spec, config, name,
+                                          id=f"{spec}-{config}{suffix}"))
+    return cases
+
 
 _ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "sx")
 _ROTATIONS = ("rx", "ry", "rz", "p")
@@ -190,15 +221,15 @@ class TestKernelGrid:
         # gap-carrying gate DDs the run interned -- must audit clean
         package.assert_invariants([result.state])
 
-    @pytest.mark.parametrize("config",
-                             [c for c in sorted(KERNEL_CONFIGS)
-                              if c.startswith("iterative")])
-    @pytest.mark.parametrize("spec", ["sequential", "k=4", "smax=64"])
-    def test_local_apply_pathway(self, spec, config):
+    @pytest.mark.parametrize("spec,config,name", _local_apply_cases())
+    def test_local_apply_pathway(self, spec, config, name):
         # same grid through the local-gate fast path: apply_gate (and the
         # dense-block cutover, where enabled) instead of explicit gate DDs
-        circuit = random_circuit(6, 40, seed=DIFFERENTIAL_SEED + 17,
-                                 rotations=True)
+        if name is None:
+            circuit = random_circuit(6, 40, seed=DIFFERENTIAL_SEED + 17,
+                                     rotations=True)
+        else:
+            circuit = LOCAL_APPLY_CIRCUITS[name]()
         package = Package(**KERNEL_CONFIGS[config])
         engine = SimulationEngine(package=package, use_local_apply=True)
         result = engine.simulate(circuit, strategy_from_spec(spec))
@@ -239,7 +270,6 @@ class TestPaperInstances:
 
     @pytest.mark.parametrize("spec", ALL_STRATEGY_SPECS)
     def test_grover(self, spec):
-        from repro.algorithms.grover import grover_circuit
         # mark_repetition=True (the default) emits a RepeatedBlock, so
         # DD-repeating actually reuses the iteration DD here
         circuit = grover_circuit(5, 11).circuit
@@ -247,7 +277,6 @@ class TestPaperInstances:
 
     @pytest.mark.parametrize("spec", ALL_STRATEGY_SPECS)
     def test_qft(self, spec):
-        from repro.algorithms.qft import qft_circuit
         circuit = qft_circuit(5)
         # start from a non-trivial basis state so the spectrum is not flat
         engine = paper_engine()
