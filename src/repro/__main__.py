@@ -74,6 +74,8 @@ def _print_result(args, circuit, engine, result, trace_sink,
     if stats.final_state_nodes or stats.peak_state_nodes:
         print(f"state DD  : {stats.final_state_nodes} nodes "
               f"(peak {stats.peak_state_nodes})")
+    if stats.peak_dense_amps:
+        print(f"dense     : peak block {stats.peak_dense_amps} amplitudes")
     if stats.gc.collections:
         limit = f" (limit now {engine.governor.limit})" \
             if engine is not None else ""

@@ -162,11 +162,13 @@ class DenseState:
 
         Per-step size tracking must not rebuild the DD -- or even scan the
         block (a ``count_nonzero`` pass per gate measurably dents the dense
-        fast path) -- so while a state is dense the engine's
-        ``peak_state_nodes`` reports the block capacity: the memory the
-        dense representation actually holds.  ``final_state_nodes`` is
-        exact either way -- the engine solidifies the state back to a DD
-        after the timed region.
+        fast path) -- so while a state is dense the engine records the
+        block capacity, the memory the dense representation actually
+        holds, in ``peak_dense_amps``; ``peak_state_nodes`` counts only DD
+        states.  ``Package.count_nodes`` of a dense block returns this
+        value too.  ``final_state_nodes`` is exact either way -- the
+        engine solidifies the state back to a DD inside the timed region
+        and counts it.
         """
         return self.amps.size
 

@@ -9,7 +9,9 @@ A decision diagram is built from two node species:
   successor edges for the quadrants ``M00, M01, M10, M11`` (paper Sec. II-B).
 
 Nodes are immutable after construction and interned in a unique table, so
-identity (``is``) equals structural equality.  ``level`` is the qubit index
+identity (``is``) equals structural equality.  Two bookkeeping slots are
+written once, later: ``serial`` on interning and ``size`` on the first
+``Package.count_nodes`` of the node.  ``level`` is the qubit index
 the node decomposes: level 0 is the least-significant qubit (bottom of the
 diagram); the root of an ``n``-qubit DD sits at level ``n - 1``.  The DDs are
 *quasi-reduced*: every non-zero edge of a level-``z`` node points to a node
@@ -43,7 +45,9 @@ TERMINAL = Terminal()
 class VectorNode:
     """A state-vector DD node with two successors (``|0>`` and ``|1>`` halves)."""
 
-    __slots__ = ("level", "edges", "serial", "__weakref__")
+    # No ``__weakref__``: nothing weak-references a node, and the slot
+    # would cost 8 bytes on every node.
+    __slots__ = ("level", "edges", "serial", "size")
 
     def __init__(self, level: int, edges: tuple[Edge, Edge]) -> None:
         self.level = level
@@ -55,6 +59,10 @@ class VectorNode:
         # operand canonicalisation feeds tolerance rounding, where the
         # ratio direction changes which DD the sum snaps to).
         self.serial = 0
+        # Nodes reachable from this one, itself included; 0 until
+        # Package.count_nodes first counts it.  An interned node never
+        # changes, so neither does its count.
+        self.size = 0
 
     @property
     def zero(self) -> Edge:
@@ -73,12 +81,13 @@ class VectorNode:
 class MatrixNode:
     """A matrix DD node with four successors (quadrants M00, M01, M10, M11)."""
 
-    __slots__ = ("level", "edges", "serial", "__weakref__")
+    __slots__ = ("level", "edges", "serial", "size")
 
     def __init__(self, level: int, edges: tuple[Edge, Edge, Edge, Edge]) -> None:
         self.level = level
         self.edges = edges
         self.serial = 0  # interning order; see VectorNode.serial
+        self.size = 0  # reachable-node count; see VectorNode.size
 
     def quadrant(self, row_bit: int, col_bit: int) -> Edge:
         """Successor for quadrant ``M[row_bit][col_bit]``."""

@@ -1144,7 +1144,12 @@ class Package:
     def count_nodes(self, edge: Edge) -> int:
         """Number of internal nodes reachable from ``edge`` (terminal excluded).
 
-        This is the size measure the *max-size* strategy is parametrised on.
+        This is the size measure the *max-size* strategy is parametrised
+        on, and the engine measures the state with it after every step.
+        An object-node root is walked once: the count is stored on the
+        root (``node.size``) and returned from there afterwards.  Interned
+        nodes never change, so a stored count never goes stale.  Flat
+        roots are walked every time (a kernel collection renumbers them).
         """
         if type(edge) is DenseState:
             # A dense block has no nodes; report its capacity (the
@@ -1154,10 +1159,14 @@ class Package:
             return edge.size_proxy()
         if type(edge) is FlatEdge:
             return 0 if edge.weight == 0 else self.flat.count_nodes(edge.index)
-        if edge.weight == 0 or edge.node.level == -1:
+        root = edge.node
+        if edge.weight == 0 or root.level == -1:
             return 0
-        frontier = {edge.node}
-        if self.identity_edges and type(edge.node) is MatrixNode:
+        count = root.size
+        if count:
+            return count
+        frontier = {root}
+        if self.identity_edges and type(root) is MatrixNode:
             # Identity-skipping edges leave level gaps, so one node can
             # sit at two depths below the root: dedupe across levels.
             seen: set = set()
@@ -1167,18 +1176,19 @@ class Package:
                             for child in node.edges}
                 frontier.discard(TERMINAL)
                 frontier -= seen
-            return len(seen)
-        # One level at a time: zero stubs point at the terminal and every
-        # non-zero child sits exactly one level down (both audited by
-        # check_invariants), so each frontier is exactly the set of nodes
-        # on one level.  This runs after every simulation step; a set
-        # comprehension per level beats a per-child Python walk.
-        count = 0
-        while frontier:
-            count += len(frontier)
-            frontier = {child.node for node in frontier
-                        for child in node.edges}
-            frontier.discard(TERMINAL)
+            count = len(seen)
+        else:
+            # One level at a time: zero stubs point at the terminal and
+            # every non-zero child sits exactly one level down (both
+            # audited by check_invariants), so each frontier is exactly
+            # the set of nodes on one level; a set comprehension per
+            # level beats a per-child Python walk.
+            while frontier:
+                count += len(frontier)
+                frontier = {child.node for node in frontier
+                            for child in node.edges}
+                frontier.discard(TERMINAL)
+        root.size = count
         return count
 
     def clear_compute_tables(self) -> int:

@@ -45,7 +45,7 @@ from ..circuit.mapping import permute_operation
 from ..circuit.operation import Operation
 from ..dd.approximation import prune_to_node_budget
 from ..dd.edge import Edge
-from ..dd.kernel import FlatEdge
+from ..dd.kernel import DenseState, FlatEdge
 from ..dd.gate_building import build_gate_dd
 from ..dd.package import Package
 from ..dd.reordering import permute_qubits, sift
@@ -81,6 +81,16 @@ class cyclic_gc_paused:
     def __exit__(self, *exc_info) -> None:
         if self._was_enabled:
             gc.enable()
+
+
+def _record_state_size(statistics: SimulationStatistics, package: Package,
+                       state: Edge) -> None:
+    """Record a state's size: a DD's node count in ``peak_state_nodes``,
+    a dense block's amplitude capacity in ``peak_dense_amps``."""
+    if type(state) is DenseState:
+        statistics.record_dense_size(state.size_proxy())
+    else:
+        statistics.record_state_size(package.count_nodes(state))
 
 
 class _Run:
@@ -210,8 +220,7 @@ class _Run:
             self.state, matrix, operation.target, controls)
         self.statistics.matrix_vector_mults += 1
         self.statistics.local_gate_applications += 1
-        self.statistics.record_state_size(
-            self.package.count_nodes(self.state))
+        _record_state_size(self.statistics, self.package, self.state)
         self.engine.maybe_collect(self)
         if self.trace is not None:
             self._trace_step(operation.gate)
@@ -307,8 +316,13 @@ class SimulationEngine:
         the paper-literal pathway (explicit gate DD + matrix-vector
         multiplication per gate), e.g. for the paper-artifact experiments.
 
-    The state DD is measured after every simulation step, so
-    ``peak_state_nodes`` is exact.
+    The state is measured after every simulation step and once more
+    after the final solidify, so ``peak_state_nodes`` is the exact DD
+    peak and at least ``final_state_nodes``.  A step that leaves the
+    state as an iterative-kernel dense block records the block's
+    amplitude capacity in ``peak_dense_amps`` instead.  Measuring is
+    cheap: ``Package.count_nodes`` walks each distinct object root once
+    and stores the count on it.
     """
 
     def __init__(self, package: Package | None = None,
@@ -538,7 +552,7 @@ class SimulationEngine:
             backend=backend_label,
         )
         statistics.resumed_from_op = start_index
-        statistics.record_state_size(self.package.count_nodes(state))
+        _record_state_size(statistics, self.package, state)
         run = _Run(self, circuit.num_qubits, state, statistics, trace,
                    degradation=degradation, reorder=reorder, on_op=on_op)
         run.strategy = strategy
@@ -587,6 +601,8 @@ class SimulationEngine:
         statistics.counters = self.package.counters.delta(counters_before)
         statistics.gc = self.package.gc_stats.delta(gc_before)
         statistics.final_state_nodes = self.package.count_nodes(run.state)
+        # A run that ended dense never counted its final DD before.
+        statistics.record_state_size(statistics.final_state_nodes)
         self._stamp_coverage_signals(statistics)
         if base_statistics is not None:
             base_statistics.merge(statistics)

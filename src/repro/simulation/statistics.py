@@ -51,7 +51,12 @@ class SimulationStatistics:
     reused_block_applications: int = 0
     #: oracle DDs constructed directly from function specs (DD-construct)
     direct_constructions: int = 0
+    #: largest state DD, in nodes (dense blocks are not DDs and count
+    #: in ``peak_dense_amps`` instead)
     peak_state_nodes: int = 0
+    #: largest dense amplitude block the iterative kernel held (0 when
+    #: the state never went dense)
+    peak_dense_amps: int = 0
     peak_matrix_nodes: int = 0
     final_state_nodes: int = 0
     wall_time_seconds: float = 0.0
@@ -93,6 +98,10 @@ class SimulationStatistics:
         if nodes > self.peak_state_nodes:
             self.peak_state_nodes = nodes
 
+    def record_dense_size(self, amps: int) -> None:
+        if amps > self.peak_dense_amps:
+            self.peak_dense_amps = amps
+
     def record_matrix_size(self, nodes: int) -> None:
         if nodes > self.peak_matrix_nodes:
             self.peak_matrix_nodes = nodes
@@ -115,6 +124,8 @@ class SimulationStatistics:
         self.direct_constructions += other.direct_constructions
         self.peak_state_nodes = max(self.peak_state_nodes,
                                     other.peak_state_nodes)
+        self.peak_dense_amps = max(self.peak_dense_amps,
+                                   other.peak_dense_amps)
         self.peak_matrix_nodes = max(self.peak_matrix_nodes,
                                      other.peak_matrix_nodes)
         self.final_state_nodes = other.final_state_nodes
@@ -180,6 +191,8 @@ class SimulationStatistics:
         degraded = "" if not self.degradation_actions else (
             f", {len(self.degradation_actions)} degradation action(s) "
             f"(fidelity {self.cumulative_fidelity:.6f})")
+        dense = "" if not self.peak_dense_amps else (
+            f", dense block {self.peak_dense_amps} amps")
         retried = "" if self.attempts <= 1 else (
             f", attempt {self.attempts} "
             f"(resumed from op {self.resumed_from_op})")
@@ -191,7 +204,7 @@ class SimulationStatistics:
             f"({self.reused_block_applications} reused, "
             f"{self.direct_constructions} direct), "
             f"peak state {self.peak_state_nodes} / "
-            f"matrix {self.peak_matrix_nodes} nodes, "
+            f"matrix {self.peak_matrix_nodes} nodes{dense}, "
             f"{self.gc.collections} GC "
             f"({self.gc.nodes_freed} freed, "
             f"{self.gc.pause_seconds:.3f}s paused)"

@@ -75,8 +75,8 @@ DETERMINISTIC_STAT_FIELDS = (
     "operations_applied",
     "matrix_vector_mults", "matrix_matrix_mults",
     "reused_block_applications", "direct_constructions",
-    "local_gate_applications", "peak_state_nodes", "peak_matrix_nodes",
-    "final_state_nodes",
+    "local_gate_applications", "peak_state_nodes", "peak_dense_amps",
+    "peak_matrix_nodes", "final_state_nodes",
 )
 
 

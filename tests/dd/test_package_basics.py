@@ -7,7 +7,10 @@ import pytest
 
 from repro.circuit import Operation
 from repro.dd import Package, build_gate_dd, vector_to_numpy, matrix_to_numpy
+from repro.dd.edge import Edge
+from repro.dd.kernel import FlatEdge
 from repro.dd.node import TERMINAL
+from repro.dd.serialization import deserialize_dd, serialize_dd
 
 
 class TestBasisStates:
@@ -173,8 +176,32 @@ def reference_count(edge) -> int:
     return len(seen)
 
 
+def random_operations(rng: Random, num_qubits: int, count: int):
+    """``count`` random 1-qubit gates with up to two mixed-polarity controls."""
+    for _ in range(count):
+        target = rng.randrange(num_qubits)
+        others = [q for q in range(num_qubits) if q != target]
+        controls = tuple((q, rng.randrange(2))
+                         for q in rng.sample(others, rng.randrange(3)))
+        gate = rng.choice(["h", "x", "t", "sx", "sy", "ry"])
+        params = (rng.uniform(0, 3),) if gate == "ry" else ()
+        yield Operation(gate, target, controls, params)
+
+
+def random_state(package: Package, num_qubits: int = 8, count: int = 60,
+                 seed: int = 8):
+    """A state with real node sharing, built by explicit gate DDs."""
+    state = package.zero_state(num_qubits)
+    for op in random_operations(Random(seed), num_qubits, count):
+        matrix = build_gate_dd(package, op.matrix(), num_qubits, op.target,
+                               op.control_map())
+        state = package.multiply_matrix_vector(matrix, state)
+    return state
+
+
 class TestCountNodes:
-    """``count_nodes`` counts one level at a time; it must stay exact."""
+    """``count_nodes`` counts one level at a time and stores an object
+    root's count on the root; every count must stay exact."""
 
     @pytest.mark.parametrize("options", [
         pytest.param({}, id="False"),
@@ -186,27 +213,78 @@ class TestCountNodes:
     ])
     def test_matches_reference_walk_after_every_gate(self, options):
         package = Package(**options)
-        rng = Random(8)
         num_qubits = 8
         state = package.zero_state(num_qubits)
-        for index in range(120):
-            target = rng.randrange(num_qubits)
-            others = [q for q in range(num_qubits) if q != target]
-            controls = tuple((q, rng.randrange(2))
-                             for q in rng.sample(others, rng.randrange(3)))
-            gate = rng.choice(["h", "x", "t", "sx", "sy", "ry"])
-            params = (rng.uniform(0, 3),) if gate == "ry" else ()
-            op = Operation(gate, target, controls, params)
+        states = []
+        for index, op in enumerate(random_operations(Random(8), num_qubits,
+                                                     120)):
             matrix = build_gate_dd(package, op.matrix(), num_qubits,
                                    op.target, op.control_map())
             state = package.multiply_matrix_vector(matrix, state)
+            states.append(state)
             # products of up to 6 gates, as a combining strategy builds
             product = matrix if index % 6 == 0 \
                 else package.multiply_matrix_matrix(matrix, product)
             for edge in (state, matrix, product):
-                assert package.count_nodes(edge) == reference_count(edge), \
-                    f"op {index}"
+                expected = reference_count(edge)
+                # the second count reads what the first one stored
+                assert package.count_nodes(edge) == expected, f"op {index}"
+                assert package.count_nodes(edge) == expected, f"op {index}"
         assert reference_count(state) > 20  # the walk saw real sharing
+        # counts stored up to 120 operations ago are still exact
+        for index, kept in enumerate(states):
+            assert package.count_nodes(kept) == reference_count(kept), \
+                f"state after op {index}"
+
+    def test_second_count_reads_the_stored_count(self):
+        package = Package()
+        state = random_state(package)
+        root = state.node
+        assert root.size == 0  # not counted yet
+        count = package.count_nodes(state)
+        assert root.size == count == reference_count(state)
+        # A walk would recount; the stored value comes back untouched.
+        root.size = count + 1000
+        assert package.count_nodes(state) == count + 1000
+
+    def test_count_kept_through_garbage_collection(self):
+        package = Package()
+        state = random_state(package)
+        count = package.count_nodes(state)
+        assert package.garbage_collect([state]) > 0
+        assert package.count_nodes(state) == count == reference_count(state)
+        # Collected without being a root: the same DD built again is a
+        # fresh node, counted afresh, and the old one keeps its count.
+        package.garbage_collect([])
+        rebuilt = random_state(package)
+        assert rebuilt.node is not state.node
+        assert rebuilt.node.size == 0
+        assert package.count_nodes(rebuilt) == count
+        assert package.count_nodes(state) == count
+
+    def test_count_of_a_materialised_flat_state(self):
+        package = Package(kernel="iterative", dense_blocks=False)
+        state = random_state(package)
+        assert type(state) is FlatEdge
+        count = package.count_nodes(state)
+        materialised = Edge(state.node, state.weight)
+        for _ in range(2):
+            assert package.count_nodes(materialised) == count
+        assert materialised.node.size == count == reference_count(state)
+
+    @pytest.mark.parametrize("fresh", [False, True],
+                             ids=["same-package", "fresh-package"])
+    def test_count_of_a_deserialised_copy(self, fresh):
+        package = Package()
+        state = random_state(package)
+        count = package.count_nodes(state)
+        target = Package() if fresh else package
+        copy = deserialize_dd(target, serialize_dd(state))
+        # deserialising re-interns: the same package hands back the
+        # counted node, a fresh one builds uncounted nodes
+        assert (copy.node is state.node) is not fresh
+        for _ in range(2):
+            assert target.count_nodes(copy) == count == reference_count(copy)
 
     def test_identity_edge_product_with_a_node_at_two_depths(self):
         """A level gap lets one node sit one and two levels below the

@@ -117,6 +117,22 @@ class TestSimulate:
         assert stats.counters.nodes_created == \
             package.counters.nodes_created - before
 
+    @pytest.mark.parametrize("kernel", ["recursive", "iterative"])
+    def test_dense_capacity_is_not_a_node_peak(self, kernel):
+        # the iterative run goes dense (a 512-amplitude block); its DD
+        # peak must still count DD nodes, the block goes to its own field
+        circuit = supremacy_circuit(3, 3, 8, 1).circuit
+        stats = SimulationEngine(Package(kernel=kernel)).simulate(
+            circuit).statistics
+        if kernel == "iterative":
+            assert stats.peak_dense_amps == 512
+            assert stats.final_state_nodes <= stats.peak_state_nodes < 512
+            assert "dense block 512 amps" in stats.summary()
+        else:
+            assert stats.peak_dense_amps == 0
+            assert stats.peak_state_nodes == 63
+            assert "dense block" not in stats.summary()
+
 
 class TestGarbageCollection:
     def test_gc_triggers_and_preserves_state(self):

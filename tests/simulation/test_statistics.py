@@ -14,6 +14,13 @@ class TestRecording:
         stats.record_state_size(20)
         assert stats.peak_state_nodes == 20
 
+    def test_record_dense_size_keeps_peak(self):
+        stats = SimulationStatistics()
+        stats.record_dense_size(512)
+        stats.record_dense_size(64)
+        assert stats.peak_dense_amps == 512
+        assert stats.peak_state_nodes == 0
+
     def test_record_matrix_size_keeps_peak(self):
         stats = SimulationStatistics()
         stats.record_matrix_size(7)
@@ -27,12 +34,14 @@ class TestMerge:
                                  matrix_matrix_mults=1,
                                  operations_applied=4,
                                  wall_time_seconds=0.5,
-                                 peak_state_nodes=10)
+                                 peak_state_nodes=10,
+                                 peak_dense_amps=2048)
         b = SimulationStatistics(matrix_vector_mults=2,
                                  matrix_matrix_mults=5,
                                  operations_applied=7,
                                  wall_time_seconds=0.25,
                                  peak_state_nodes=30,
+                                 peak_dense_amps=512,
                                  final_state_nodes=9)
         a.merge(b)
         assert a.matrix_vector_mults == 5
@@ -40,6 +49,7 @@ class TestMerge:
         assert a.operations_applied == 11
         assert a.wall_time_seconds == 0.75
         assert a.peak_state_nodes == 30
+        assert a.peak_dense_amps == 2048
         assert a.final_state_nodes == 9
 
     def test_merge_counters(self):
