@@ -47,10 +47,12 @@ spend almost all their time on the dense path; genuinely sparse workloads
 
 State DDs live in the flat store as :class:`FlatEdge` roots; matrix DDs
 stay object-based (they are small) and are imported into a flat mirror on
-first use by ``mult_mv``.  Results cross back into the object world only
-on demand (serialisation, audits, measurements) via
-:meth:`FlatKernel.obj_node`, which interns materialised nodes in the
-package's ordinary unique table.
+first use by ``mult_mv``.  Measurement stays in the flat store too: the
+outcome probability is one ascending pass (``norm_and_one_mass``) and the
+collapse is the same projection ``apply_gate`` memoises for controls
+below a target.  Results cross back into the object world only on demand
+(serialisation, audits) via :meth:`FlatKernel.obj_node`, which interns
+materialised nodes in the package's ordinary unique table.
 """
 
 from __future__ import annotations
@@ -251,6 +253,8 @@ class FlatKernel:
         self._prep: dict[int, tuple] = {}
         # -- materialisation cache: flat index -> interned object node --
         self._obj_cache: dict[int, object] = {}
+        #: stored reachable-node counts of counted roots (see count_nodes)
+        self._sizes: dict[int, int] = {}
         # -- dense-block cutover state (see apply_gate) -----------------
         #: whether density cutover is allowed (Package(dense_blocks=...))
         self.dense_blocks = getattr(package, "dense_blocks", True)
@@ -449,27 +453,69 @@ class FlatKernel:
                 i = self.c0[i]
         return w
 
-    def count_nodes(self, idx: int) -> int:
-        """Internal flat nodes reachable from ``idx`` (terminal excluded).
+    def _levels(self, idx: int) -> list[set[int]]:
+        """The internal nodes ``idx`` reaches, one set per level, top first.
 
-        Counts one level at a time: a zero stub points at the terminal and
-        every non-zero child sits exactly one level down (both audited by
-        ``check_invariants``), so each frontier is exactly the set of nodes
-        on one level.  This runs after every simulation step.
+        A zero stub points at the terminal and every non-zero child sits
+        exactly one level down (both audited by ``check_invariants``), so
+        each frontier is exactly the set of nodes on one level.
         """
-        if idx == 0:
-            return 0
         c0 = self.c0
         c1 = self.c1
-        count = 0
-        frontier = {idx}
+        levels = []
+        frontier = {idx} if idx else set()
         while frontier:
-            count += len(frontier)
+            levels.append(frontier)
             below = {c0[i] for i in frontier}
             below.update([c1[i] for i in frontier])
             below.discard(0)
             frontier = below
+        return levels
+
+    def count_nodes(self, idx: int) -> int:
+        """Internal flat nodes reachable from ``idx`` (terminal excluded).
+
+        This runs after every simulation step, so a root is walked once,
+        one level at a time, and its count stored in ``_sizes``: flat
+        nodes never change, but ``collect`` renumbers them and so clears
+        the stored counts.
+        """
+        count = self._sizes.get(idx)
+        if count is None:
+            count = sum(map(len, self._levels(idx)))
+            self._sizes[idx] = count
         return count
+
+    def norm_and_one_mass(self, idx: int,
+                          qubit: int) -> tuple[float, float]:
+        """``(squared norm, mass with qubit = 1)`` of the vector ``[idx]``.
+
+        The sums measurement needs, formed as on object nodes (a node's
+        value is ``|w0|^2 * value(c0) + |w1|^2 * value(c1)``) in one
+        ascending pass over the levels ``idx`` reaches, from the lowest
+        up, so every child is done before its parents.
+        """
+        w0 = self.w0
+        w1 = self.w1
+        c0 = self.c0
+        c1 = self.c1
+        levels = self._levels(idx)
+        # Slot 0 is the terminal: every zero stub points there (weight 0),
+        # and so does each non-zero child of a level-0 node (norm 1).
+        norm = {0: 1.0}
+        one = {0: 0.0}
+        level = self.lvl[idx] - len(levels)
+        for frontier in reversed(levels):
+            level += 1
+            for i in frontier:
+                m0 = abs(w0[i]) ** 2
+                m1 = abs(w1[i]) ** 2
+                norm[i] = m0 * norm[c0[i]] + m1 * norm[c1[i]]
+                if level > qubit:
+                    one[i] = m0 * one[c0[i]] + m1 * one[c1[i]]
+                elif level == qubit:
+                    one[i] = m1 * norm[c1[i]]
+        return norm[idx], one[idx]
 
     @property
     def live_nodes(self) -> int:
@@ -544,6 +590,7 @@ class FlatKernel:
         freed += len(self.mlvl) - 1
         self.clear_memos()
         self._obj_cache.clear()
+        self._sizes.clear()
         self.mlvl = [-1]
         self.ment = [(0, 0j) * 4]
         self.midn.clear()

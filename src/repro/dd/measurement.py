@@ -5,6 +5,13 @@ linear algebra: single-qubit measurement with state collapse (required by
 the semiclassical order-finding circuit of Shor's algorithm), full-register
 sampling, and probability queries.  All randomness is injected through a
 ``random.Random`` (or numpy generator-like) object so runs are reproducible.
+
+Measurement and collapse keep a state in the store it lives in: an
+object-node edge is walked node by node below, a flat state of the
+iterative kernel (a :class:`~repro.dd.kernel.DenseState` after
+``to_flat()``) is measured and projected in the flat store and comes back
+as a :class:`~repro.dd.kernel.FlatEdge`, so the simulation after a
+mid-circuit measurement stays on the flat kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from random import Random
 
 from .edge import Edge
+from .kernel import DenseState, FlatEdge
 from .node import VectorNode
 from .package import Package
 
@@ -110,18 +118,47 @@ def qubit_probability(package: Package, state: Edge, qubit: int) -> float:
     """Probability that measuring ``qubit`` of ``state`` yields ``1``.
 
     ``state`` need not be normalised; the result is normalised by
-    ``<state|state>``.
+    ``<state|state>``.  A flat state is summed in one ascending pass over
+    the flat store (:meth:`~repro.dd.kernel.FlatKernel.norm_and_one_mass`),
+    without materialising object nodes.
     """
+    if type(state) is DenseState:
+        state = state.to_flat()
     if state.weight == 0:
         raise ValueError("cannot measure the zero vector")
-    if not 0 <= qubit <= state.node.level:
+    if not 0 <= qubit <= state.level:
         raise ValueError(f"qubit {qubit} out of range")
-    norms = _norm2_map(state)
-    total_norm = abs(state.weight) ** 2 * _norm2(state.node, norms)
+    if type(state) is FlatEdge:
+        norm, one = package.flat.norm_and_one_mass(state.index, qubit)
+    else:
+        norms = _norm2_map(state)
+        norm = _norm2(state.node, norms)
+        one = _one_mass(state.node, qubit, norms, {})
+    total_norm = abs(state.weight) ** 2 * norm
     if total_norm <= 0:
         raise ValueError("state has zero norm")
-    one = _one_mass(state.node, qubit, norms, {})
     return min(1.0, max(0.0, abs(state.weight) ** 2 * one / total_norm))
+
+
+def _project_flat(package: Package, state: FlatEdge, qubit: int, value: int,
+                  renormalise: bool) -> FlatEdge:
+    """``project_qubit`` in the flat store.
+
+    The projection is the one ``apply_gate`` memoises for a control below
+    its target (same spec, so the two share memo entries); the result is
+    rescaled through its root weight only.
+    """
+    kernel = package.flat
+    if state.weight == 0:
+        return FlatEdge(kernel, 0, 0j)
+    proj_id = kernel._kernel_id(package._spec_id(("proj", ((qubit, value),))))
+    index, weight = kernel._project_root(state.index, proj_id,
+                                         {qubit: value}, qubit)
+    weight *= state.weight
+    if weight != 0 and renormalise:
+        norm, _ = kernel.norm_and_one_mass(index, qubit)
+        weight /= math.sqrt(abs(weight) ** 2 * norm)
+    return FlatEdge(kernel, index, weight)
 
 
 def project_qubit(package: Package, state: Edge, qubit: int, value: int,
@@ -130,9 +167,15 @@ def project_qubit(package: Package, state: Edge, qubit: int, value: int,
 
     Returns the zero edge if the outcome has no support.  With
     ``renormalise`` (the default) the result is scaled back to unit norm.
+    A flat state stays flat: the result is a
+    :class:`~repro.dd.kernel.FlatEdge` of the same kernel.
     """
     if value not in (0, 1):
         raise ValueError("measurement value must be 0 or 1")
+    if type(state) is DenseState:
+        state = state.to_flat()
+    if type(state) is FlatEdge:
+        return _project_flat(package, state, qubit, value, renormalise)
     if state.weight == 0:
         return package.zero
     projected = package._scaled(
@@ -145,7 +188,11 @@ def project_qubit(package: Package, state: Edge, qubit: int, value: int,
 
 def measure_qubit(package: Package, state: Edge, qubit: int,
                   rng: Random) -> tuple[int, Edge, float]:
-    """Measure one qubit: returns ``(outcome, collapsed_state, p_of_outcome)``."""
+    """Measure one qubit: returns ``(outcome, collapsed_state, p_of_outcome)``.
+
+    A flat or dense state collapses to a
+    :class:`~repro.dd.kernel.FlatEdge`; an object-node edge to an edge.
+    """
     p_one = qubit_probability(package, state, qubit)
     outcome = 1 if rng.random() < p_one else 0
     probability = p_one if outcome == 1 else 1.0 - p_one

@@ -1146,10 +1146,11 @@ class Package:
 
         This is the size measure the *max-size* strategy is parametrised
         on, and the engine measures the state with it after every step.
-        An object-node root is walked once: the count is stored on the
-        root (``node.size``) and returned from there afterwards.  Interned
-        nodes never change, so a stored count never goes stale.  Flat
-        roots are walked every time (a kernel collection renumbers them).
+        A root is walked once: an object root's count is stored on the
+        root (``node.size``), a flat root's in the kernel (see
+        ``FlatKernel.count_nodes``; a kernel collection renumbers the flat
+        store and clears them), and returned from there afterwards.  Nodes
+        never change, so a stored count never goes stale.
         """
         if type(edge) is DenseState:
             # A dense block has no nodes; report its capacity (the

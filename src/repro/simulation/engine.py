@@ -227,15 +227,23 @@ class _Run:
         self.tick()
 
     def _trace_step(self, gate: str) -> None:
-        """Emit one ``step`` trace event (see :mod:`repro.simulation.trace`)."""
+        """Emit one ``step`` trace event (see :mod:`repro.simulation.trace`).
+
+        A dense block has no DD nodes: its step reports ``state_nodes`` 0
+        and its amplitude capacity in ``dense_amps``, as the statistics
+        split ``peak_state_nodes`` and ``peak_dense_amps``.
+        """
         package = self.package
         tables = package.tables
         pending = self._pending
+        state = self.state
+        dense = type(state) is DenseState
         self.trace({
             "event": "step",
             "op_index": self.statistics.matrix_vector_mults - 1,
             "gate": gate,
-            "state_nodes": package.count_nodes(self.state),
+            "state_nodes": 0 if dense else package.count_nodes(state),
+            "dense_amps": state.size_proxy() if dense else 0,
             "product_nodes": package.count_nodes(pending)
             if pending is not None else 0,
             "live_nodes": package.live_node_count(),
@@ -595,6 +603,7 @@ class SimulationEngine:
                 # A state that finished on the dense-block fast path
                 # materialises back into its canonical DD here, inside the
                 # timed region -- callers always receive a DD-backed state.
+                ended_dense = type(run.state) is DenseState
                 run.state = self.package.solidify(run.state)
             finally:
                 statistics.wall_time_seconds = time.perf_counter() - started
@@ -603,6 +612,12 @@ class SimulationEngine:
         statistics.final_state_nodes = self.package.count_nodes(run.state)
         # A run that ended dense never counted its final DD before.
         statistics.record_state_size(statistics.final_state_nodes)
+        if ended_dense and trace is not None:
+            trace({
+                "event": "solidify",
+                "op_index": statistics.matrix_vector_mults - 1,
+                "state_nodes": statistics.final_state_nodes,
+            })
         self._stamp_coverage_signals(statistics)
         if base_statistics is not None:
             base_statistics.merge(statistics)

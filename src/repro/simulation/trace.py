@@ -11,10 +11,16 @@ Event schema (all events carry ``event`` and ``op_index``):
 ``step``
     One Eq. 1 state update.  Fields: ``op_index`` (0-based index of the
     state update within the run), ``gate`` (name, or ``"matrix"`` for a
-    combined product), ``state_nodes``, ``product_nodes`` (pending combined
-    product, 0 when none), ``live_nodes`` (package-wide interned nodes),
-    ``apply_gate_hit_rate`` / ``mult_mv_hit_rate`` (cumulative compute-table
-    hit rates).
+    combined product), ``state_nodes`` (DD nodes; 0 while the state is an
+    iterative-kernel dense block), ``dense_amps`` (the dense block's
+    amplitude capacity; 0 for a DD state), ``product_nodes`` (pending
+    combined product, 0 when none), ``live_nodes`` (package-wide interned
+    nodes), ``apply_gate_hit_rate`` / ``mult_mv_hit_rate`` (cumulative
+    compute-table hit rates).
+``solidify``
+    A run that ended on a dense block was rebuilt as a DD (once, after its
+    last step).  Fields: ``op_index`` (the last state update's),
+    ``state_nodes`` (nodes of the rebuilt DD, the run's final state).
 ``gc``
     One garbage collection.  Fields: ``op_index``, ``nodes_freed``,
     ``surviving_nodes``, ``compute_entries_dropped``, ``pause_seconds``,
@@ -126,11 +132,14 @@ def trace_summary(events: Iterable[dict] | str) -> dict:
     ``events`` may be an iterable of event dicts or a JSONL file path.
     Returns steps, peak/final state size, GC activity, and the final
     cumulative cache hit rates -- the digest the analysis layer renders.
+    State sizes count DD nodes (``step`` and ``solidify`` events), as
+    the run statistics do; dense blocks go to ``peak_dense_amps``.
     """
     if isinstance(events, str):
         events = load_trace(events)
     steps = 0
     peak_state = 0
+    peak_dense = 0
     peak_product = 0
     final_state = 0
     peak_live = 0
@@ -155,11 +164,15 @@ def trace_summary(events: Iterable[dict] | str) -> dict:
             state_nodes = event.get("state_nodes", 0)
             final_state = state_nodes
             peak_state = max(peak_state, state_nodes)
+            peak_dense = max(peak_dense, event.get("dense_amps", 0))
             peak_product = max(peak_product, event.get("product_nodes", 0))
             peak_live = max(peak_live, event.get("live_nodes", 0))
             for key in ("apply_gate_hit_rate", "mult_mv_hit_rate"):
                 if key in event:
                     last_hit_rates[key] = event[key]
+        elif kind == "solidify":
+            final_state = event.get("state_nodes", 0)
+            peak_state = max(peak_state, final_state)
         elif kind == "gc":
             gc_events += 1
             gc_nodes_freed += event.get("nodes_freed", 0)
@@ -187,6 +200,7 @@ def trace_summary(events: Iterable[dict] | str) -> dict:
     summary = {
         "steps": steps,
         "peak_state_nodes": peak_state,
+        "peak_dense_amps": peak_dense,
         "peak_product_nodes": peak_product,
         "final_state_nodes": final_state,
         "peak_live_nodes": peak_live,

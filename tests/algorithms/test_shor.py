@@ -257,6 +257,43 @@ class TestRunOverhead:
                 gc.enable()
 
 
+class TestIterativeKernelStaysFlat:
+    """Measuring and collapsing in the flat store keeps every segment of
+    an iterative run on the flat kernel: no object-node vector work."""
+
+    @pytest.mark.parametrize("mode,strategy", [
+        pytest.param("gates", SequentialStrategy(), id="gates-sequential"),
+        pytest.param("gates", MaxSizeStrategy(16), id="gates-smax16"),
+        pytest.param("construct", None, id="construct"),
+    ])
+    def test_no_object_node_vector_calls(self, mode, strategy, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            original = getattr(Package, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("_apply_gate_rec", "_mult_mv", "make_vector_node"):
+            monkeypatch.setattr(Package, name, counting(name))
+        options = {} if strategy is None else {"strategy": strategy}
+        flat = ShorOrderFinder(
+            21, 2, mode=mode, seed=3,
+            engine=SimulationEngine(Package(kernel="iterative")),
+            **options).run()
+        assert calls == {}
+        reference = ShorOrderFinder(
+            21, 2, mode=mode, seed=3,
+            engine=SimulationEngine(Package(kernel="recursive")),
+            **options).run()
+        assert calls  # the recursive run does go through the wrappers
+        assert flat.phase_bits == reference.phase_bits
+        assert flat.order == reference.order == multiplicative_order(2, 21)
+
+
 class TestFactor:
     def test_factor_semiprime_construct(self):
         outcome = factor(15, mode="construct", seed=3)

@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from repro.baseline.statevector import apply_operation
+from repro.circuit import Operation
 from repro.dd import (Package, all_probabilities, measure_qubit,
                       project_qubit, qubit_probability, sample_bitstring,
                       sample_counts, vector_from_numpy, vector_to_numpy)
+from repro.dd.edge import Edge
+from repro.dd.kernel import FlatEdge
 
 from ..conftest import unit_vectors
 
@@ -119,6 +123,124 @@ class TestMeasureQubit:
         outcome, collapsed, _ = measure_qubit(package, state, 0, Random(7))
         assert qubit_probability(package, collapsed, 0) == pytest.approx(
             float(outcome))
+
+
+FLAT = {"kernel": "iterative", "dense_blocks": False}
+
+
+def random_operations(num_qubits: int, count: int = 40) -> list[Operation]:
+    """Rotations and Hadamards with up to two mixed-polarity controls."""
+    rng = Random(num_qubits)
+    operations = []
+    for _ in range(count):
+        target = rng.randrange(num_qubits)
+        others = [q for q in range(num_qubits) if q != target]
+        controls = tuple((q, rng.randrange(2))
+                         for q in rng.sample(others, rng.randrange(3)))
+        gate = rng.choice(("h", "t", "sx", "ry", "rz"))
+        params = (rng.uniform(0, 3),) if gate in ("ry", "rz") else ()
+        operations.append(Operation(gate, target, controls, params))
+    return operations
+
+
+def prepared(options: dict, operations, num_qubits: int):
+    package = Package(**options)
+    state = package.basis_state(num_qubits, 0)
+    for op in operations:
+        state = package.apply_gate(state, op.matrix(), op.target,
+                                   op.control_map())
+    return package, state
+
+
+class _AlwaysOne:
+    """A draw below every probability: it asks for outcome 1."""
+
+    def random(self) -> float:
+        return -1.0
+
+
+@pytest.mark.parametrize("num_qubits,dense", [
+    pytest.param(6, False, id="flat-6"),
+    pytest.param(7, False, id="flat-7"),
+    pytest.param(8, False, id="flat-8"),
+    pytest.param(8, True, id="dense-8"),
+])
+class TestFlatStates:
+    """Flat (and dense) states are measured and collapsed in the flat
+    store, with the object path's numbers."""
+
+    @staticmethod
+    def states(num_qubits: int, dense: bool):
+        operations = random_operations(num_qubits)
+        recursive, obj = prepared({}, operations, num_qubits)
+        iterative, flat = prepared(FLAT, operations, num_qubits)
+        assert type(flat) is FlatEdge
+        if dense:
+            flat = iterative.flat.to_dense(flat)
+        oracle = np.zeros(1 << num_qubits, dtype=complex)
+        oracle[0] = 1
+        for op in operations:
+            apply_operation(oracle, op, num_qubits)
+        return recursive, obj, iterative, flat, oracle
+
+    def test_probability_matches_the_object_path(self, num_qubits, dense):
+        recursive, obj, iterative, flat, _ = self.states(num_qubits, dense)
+        twin = Edge(flat.node, flat.weight)  # the same DD as object nodes
+        for qubit in range(num_qubits):
+            p_one = qubit_probability(iterative, flat, qubit)
+            assert abs(p_one - qubit_probability(iterative, twin, qubit)) \
+                < 1e-12
+            assert abs(p_one - qubit_probability(recursive, obj, qubit)) \
+                < 1e-12
+
+    @pytest.mark.parametrize("renormalise", [True, False])
+    def test_projection_stays_flat_and_matches_the_dense_oracle(
+            self, num_qubits, dense, renormalise):
+        _, _, iterative, flat, oracle = self.states(num_qubits, dense)
+        indices = np.arange(oracle.size)
+        for qubit in range(num_qubits):
+            for value in (0, 1):
+                expected = np.where((indices >> qubit) & 1 == value,
+                                    oracle, 0)
+                if renormalise:
+                    expected /= np.linalg.norm(expected)
+                collapsed = project_qubit(iterative, flat, qubit, value,
+                                          renormalise=renormalise)
+                assert type(collapsed) is FlatEdge
+                got = np.array([iterative.amplitude(collapsed, i)
+                                for i in indices])
+                norm_expected = np.vdot(expected, expected).real
+                norm_got = np.vdot(got, got).real
+                assert abs(np.vdot(expected, got)) ** 2 \
+                    >= (1 - 1e-9) * norm_expected * norm_got
+                assert norm_got == pytest.approx(norm_expected, abs=1e-9)
+
+    def test_measurement_agrees_across_kernels(self, num_qubits, dense):
+        recursive, obj, iterative, flat, _ = self.states(num_qubits, dense)
+        for qubit in range(num_qubits):
+            for seed in range(3):
+                bit, collapsed, probability = measure_qubit(
+                    iterative, flat, qubit, Random(seed))
+                expected_bit, _, expected = measure_qubit(
+                    recursive, obj, qubit, Random(seed))
+                assert type(collapsed) is FlatEdge
+                assert bit == expected_bit
+                assert abs(probability - expected) < 1e-12
+                assert qubit_probability(iterative, collapsed, qubit) \
+                    == pytest.approx(bit)
+
+
+class TestZeroSupportFallback:
+    @pytest.mark.parametrize("options", [{}, FLAT],
+                             ids=["recursive", "iterative"])
+    def test_falls_back_to_the_supported_outcome(self, options):
+        package = Package(**options)
+        state = package.basis_state(6, 0)
+        bit, collapsed, probability = measure_qubit(package, state, 2,
+                                                    _AlwaysOne())
+        assert (bit, probability) == (0, 1.0)
+        assert type(collapsed) is type(state)
+        assert package.amplitude(collapsed, 0) == pytest.approx(1.0)
 
 
 class TestSampling:

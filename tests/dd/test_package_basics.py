@@ -200,8 +200,9 @@ def random_state(package: Package, num_qubits: int = 8, count: int = 60,
 
 
 class TestCountNodes:
-    """``count_nodes`` counts one level at a time and stores an object
-    root's count on the root; every count must stay exact."""
+    """``count_nodes`` counts one level at a time and stores a root's
+    count (an object root's on the root, a flat root's in the kernel);
+    every count must stay exact."""
 
     @pytest.mark.parametrize("options", [
         pytest.param({}, id="False"),
@@ -233,8 +234,15 @@ class TestCountNodes:
         assert reference_count(state) > 20  # the walk saw real sharing
         # counts stored up to 120 operations ago are still exact
         for index, kept in enumerate(states):
+            expected = reference_count(kept)
+            for _ in range(2):
+                assert package.count_nodes(kept) == expected, \
+                    f"state after op {index}"
+        # a collection renumbers the flat store: every count stays exact
+        package.garbage_collect(states)
+        for index, kept in enumerate(states):
             assert package.count_nodes(kept) == reference_count(kept), \
-                f"state after op {index}"
+                f"state after op {index}, after the collection"
 
     def test_second_count_reads_the_stored_count(self):
         package = Package()
@@ -246,6 +254,19 @@ class TestCountNodes:
         # A walk would recount; the stored value comes back untouched.
         root.size = count + 1000
         assert package.count_nodes(state) == count + 1000
+
+    def test_second_count_of_a_flat_root_reads_the_stored_count(self):
+        package = Package(kernel="iterative", dense_blocks=False)
+        state = random_state(package)
+        stored = package.flat._sizes
+        count = package.count_nodes(state)
+        assert stored[state.index] == count == reference_count(state)
+        # A walk would recount; the stored value comes back untouched.
+        stored[state.index] = count + 1000
+        assert package.count_nodes(state) == count + 1000
+        # A collection renumbers the flat store and drops stored counts.
+        assert package.garbage_collect([state]) > 0
+        assert package.count_nodes(state) == count
 
     def test_count_kept_through_garbage_collection(self):
         package = Package()

@@ -4,12 +4,15 @@ import json
 
 import pytest
 
+from repro.algorithms import supremacy_circuit
 from repro.circuit import QuantumCircuit
+from repro.dd import Package
 from repro.simulation import (JsonlTraceSink, SequentialStrategy,
                               SimulationEngine, load_trace, trace_summary)
 
-STEP_FIELDS = {"event", "op_index", "gate", "state_nodes", "product_nodes",
-               "live_nodes", "apply_gate_hit_rate", "mult_mv_hit_rate"}
+STEP_FIELDS = {"event", "op_index", "gate", "state_nodes", "dense_amps",
+               "product_nodes", "live_nodes", "apply_gate_hit_rate",
+               "mult_mv_hit_rate"}
 GC_FIELDS = {"event", "op_index", "nodes_freed", "surviving_nodes",
              "compute_entries_dropped", "pause_seconds", "limit"}
 
@@ -101,6 +104,26 @@ class TestTraceSummary:
         summary = trace_summary(path)
         assert summary["steps"] == 4
         assert summary["final_state_nodes"] > 0
+
+    @pytest.mark.parametrize("kernel,dense_amps", [
+        ("recursive", 0), ("iterative", 512)])
+    def test_dense_steps_agree_with_the_statistics(self, kernel, dense_amps):
+        """A dense block is no DD: its steps count into ``peak_dense_amps``
+        and the rebuilt final DD (a ``solidify`` event) into the nodes."""
+        events = []
+        engine = SimulationEngine(Package(kernel=kernel))
+        result = engine.simulate(supremacy_circuit(3, 3, 8, 1).circuit,
+                                 SequentialStrategy(), trace=events.append)
+        stats = result.statistics
+        summary = trace_summary(events)
+        assert (summary["peak_state_nodes"], summary["final_state_nodes"],
+                summary["peak_dense_amps"]) == (
+            stats.peak_state_nodes, stats.final_state_nodes,
+            stats.peak_dense_amps) == (63, 63, dense_amps)
+        solidified = [e for e in events if e["event"] == "solidify"]
+        assert len(solidified) == (kernel == "iterative")
+        assert all(STEP_FIELDS <= set(e) for e in events
+                   if e["event"] == "step")
 
     def test_rendering_in_analysis_layer(self, tmp_path):
         from repro.analysis import format_trace_summary
