@@ -15,16 +15,18 @@ Fault specs (strings, stored in :class:`~repro.simulation.sweep.SweepTask`
     hour (exercises timeouts and lease expiry), or hard-kill the worker
     process.  These fire on *every* attempt -- they model poison inputs.
 ``kill@K``
-    Hard-kill the worker (``os._exit``) right after elementary operation
-    ``K`` completes.  Models an OOM kill / segfault mid-run.
+    Hard-kill the worker (``os._exit``) right after the unit holding
+    elementary operation ``K`` completes: the operation itself, or the
+    DD-repeating pass it belongs to.  Models an OOM kill / segfault
+    mid-run.
 ``latency=S``
     Sleep ``S`` seconds after every operation.  Models a pathologically
     slow worker; with a lease shorter than ``S`` it forces lease expiry.
 ``budget@K``
     Raise :class:`InjectedBudgetFault` (a
     :class:`~repro.simulation.memory.MemoryBudgetExceeded`) after
-    operation ``K`` -- the engine's resilient driver writes a checkpoint
-    on the way out exactly as for a real budget abort.
+    operation ``K`` -- a checkpointed run writes a checkpoint on the way
+    out exactly as for a real budget abort.
 ``truncate-checkpoint@K`` / ``corrupt-checkpoint@K``
     After operation ``K``, truncate (or overwrite with garbage) the run's
     checkpoint file, then hard-kill the worker.  The retry must detect the

@@ -27,20 +27,23 @@ Long runs get a **resilience layer** on top:
   (:meth:`Package.check_invariants <repro.dd.package.Package.check_invariants>`)
   every K completed operations, failing fast on structural corruption.
 
-Checkpointed/audited runs are driven through the *flattened* elementary
-operation stream (``circuit.operations()`` order) so the checkpoint's
-operation index is well-defined for every strategy; plain runs keep the
-strategy's own ``execute`` fast path (and, for the repeating strategy, its
-block-reuse optimisation).
+Every run goes through one driver, :meth:`SimulationEngine._run_ops`.  It
+walks ``circuit.instructions``, feeds each elementary operation to the
+strategy, and hands a strategy that reuses blocks (DD-repeating) one pass
+of a repeated block at a time.  Positions count the *flattened* elementary
+operations (``circuit.operations()`` order) either way, so a checkpoint's
+operation index is well defined for every strategy, and plain, audited,
+checkpointed and resumed runs make the same MxV/MxM schedule.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from itertools import groupby
 from typing import Callable
 
-from ..circuit.circuit import QuantumCircuit
+from ..circuit.circuit import QuantumCircuit, RepeatedBlock
 from ..circuit.mapping import permute_operation
 from ..circuit.operation import Operation
 from ..dd.approximation import prune_to_node_budget
@@ -100,22 +103,13 @@ class _Run:
                  state: Edge, statistics: SimulationStatistics,
                  trace: Callable[[dict], None] | None = None,
                  degradation: DegradationPolicy | None = None,
-                 reorder: ReorderPolicy | None = None,
-                 on_op: Callable[[int], None] | None = None) -> None:
+                 reorder: ReorderPolicy | None = None) -> None:
         self.engine = engine
         self.package = engine.package
         self.num_qubits = num_qubits
         self.state = state
         self.statistics = statistics
         self.trace = trace
-        #: per-op-boundary callback (heartbeats, cooperative deadlines,
-        #: fault injection); see :meth:`tick` for the firing contract
-        self.on_op = on_op
-        #: monotone boundary counter fed to ``on_op`` on the plain path
-        self.ops_ticked = 0
-        #: the resilient driver ticks per flattened operation itself and
-        #: flips this off so apply/combine do not double-fire the hook
-        self._tick_in_apply = True
         self.degradation = degradation
         self.reorder = reorder
         #: the strategy driving this run (set by ``_execute``; the
@@ -131,37 +125,16 @@ class _Run:
         #: whether the most recent collection grew the governor threshold
         #: (the futile-collection memory-pressure signal)
         self._collection_grew = False
-        #: node count of the last product returned by :meth:`combine` --
-        #: lets size-bounded strategies reuse the measurement instead of
-        #: re-counting the (growing) product DD on every feed
-        self.last_product_nodes = 0
-        #: index of the next flattened operation (resilient driver only)
-        self.op_index = 0
         self._pending: Edge | None = None
         self._extra_roots: list[Edge] = []
         #: a freshly combined product, rooted across the collection that
         #: :meth:`combine` may trigger before the strategy adopts it
         self._combine_guard: Edge | None = None
-        #: last consistent (op_index, state, pending, strategy_state)
-        #: boundary -- what an exception-time checkpoint is written from
+        #: last consistent boundary of a checkpointed run -- what an
+        #: exception-time checkpoint is written from
         self._last_good: tuple | None = None
 
     # -- operations the strategies use ---------------------------------
-
-    def tick(self) -> None:
-        """Fire the per-op-boundary hook (plain, non-resilient path).
-
-        Plain runs tick once per unit of engine work -- every state
-        update *and* every matrix-matrix combine -- with a monotone
-        counter, which is what cooperative deadlines and heartbeats need.
-        The resilient driver disables these ticks and fires the hook per
-        flattened elementary operation instead, so op-indexed fault
-        schedules line up exactly with checkpoint boundaries.
-        """
-        if self.on_op is not None and self._tick_in_apply:
-            index = self.ops_ticked
-            self.ops_ticked += 1
-            self.on_op(index)
 
     def map_operation(self, operation: Operation) -> Operation:
         """The operation relabelled through the run's current permutation.
@@ -200,7 +173,6 @@ class _Run:
         self.engine.maybe_collect(self)
         if self.trace is not None:
             self._trace_step("matrix")
-        self.tick()
 
     def apply_operation(self, operation: Operation) -> None:
         """One elementary simulation step, via the local-gate fast path.
@@ -224,7 +196,6 @@ class _Run:
         self.engine.maybe_collect(self)
         if self.trace is not None:
             self._trace_step(operation.gate)
-        self.tick()
 
     def _trace_step(self, gate: str) -> None:
         """Emit one ``step`` trace event (see :mod:`repro.simulation.trace`).
@@ -264,16 +235,14 @@ class _Run:
         """
         product = self.package.multiply_matrix_matrix(later, earlier)
         self.statistics.matrix_matrix_mults += 1
-        nodes = self.package.count_nodes(product)
-        self.last_product_nodes = nodes
-        self.statistics.record_matrix_size(nodes)
+        self.statistics.record_matrix_size(
+            self.package.count_nodes(product))
         self._combine_guard = product
         try:
             self.engine.maybe_collect(self)
             product = self._combine_guard
         finally:
             self._combine_guard = None
-        self.tick()
         return product
 
     def note_operation(self, count: int = 1) -> None:
@@ -403,8 +372,8 @@ class SimulationEngine:
         to disk).  Tracing re-measures the state DD every step, so leave
         it off for timing runs.
 
-        Resilience options (all off by default, with zero overhead on the
-        plain path):
+        Resilience options (all off by default; a run without a
+        ``checkpoint_path`` takes no boundary snapshots):
 
         ``checkpoint_path``
             Where checkpoints are written (atomically).  On
@@ -434,20 +403,20 @@ class SimulationEngine:
             permutation so measurements stay in logical qubit order.
         ``on_op``
             A cheap per-op-boundary callback ``on_op(op_index)`` -- no DD
-            measurement happens on its account (unlike ``trace``).  On
-            checkpointed/audited runs it fires once per flattened
-            elementary operation with the global operation index; on
-            plain runs once per unit of engine work (state update or
-            combine) with a monotone counter.  Exceptions it raises
-            propagate like in-run failures (budget aborts still write
-            their on-failure checkpoint).  This is the attachment point
-            for cooperative deadlines, worker heartbeats, and fault
+            measurement happens on its account (unlike ``trace``).  It
+            fires once per flattened elementary operation with its global
+            index, after the unit holding it completes.  Exceptions it
+            raises propagate like in-run failures (budget aborts still
+            write their on-failure checkpoint).  This is the attachment
+            point for cooperative deadlines, worker heartbeats, and fault
             injection (:mod:`repro.service.faults`).
 
-        Checkpointing/auditing drives the run through the flattened
-        operation stream, so :class:`RepeatingBlockStrategy
-        <repro.simulation.strategies.RepeatingBlockStrategy>` loses its
-        block-reuse optimisation on such runs (results are unchanged).
+        All runs share one driver, so these options never change the
+        MxV/MxM schedule.  A unit is one elementary operation, or one
+        pass of a repeated block under :class:`RepeatingBlockStrategy
+        <repro.simulation.strategies.RepeatingBlockStrategy>`, which
+        applies the pass as one combined matrix; checkpoints, audits and
+        ``on_op`` fall between units.
         """
         strategy = strategy or SequentialStrategy()
         state = initial_state if initial_state is not None \
@@ -489,6 +458,11 @@ class SimulationEngine:
         qubit permutation; the resumed run restores it and keeps remapping
         the remaining operations, so the replay continues under the sifted
         order (pass ``reorder`` again to keep sifting as well).
+
+        The DD-repeating block cache is not checkpointed: a resumed run
+        re-combines each block it reaches once more, so its MxM and reused
+        counts differ from the uninterrupted run's by that work; MxV and
+        operation counts do not.
         """
         if isinstance(checkpoint, str):
             checkpoint = load_checkpoint(checkpoint)
@@ -562,7 +536,7 @@ class SimulationEngine:
         statistics.resumed_from_op = start_index
         _record_state_size(statistics, self.package, state)
         run = _Run(self, circuit.num_qubits, state, statistics, trace,
-                   degradation=degradation, reorder=reorder, on_op=on_op)
+                   degradation=degradation, reorder=reorder)
         run.strategy = strategy
         if permutation is not None:
             expected = list(range(circuit.num_qubits))
@@ -572,34 +546,24 @@ class SimulationEngine:
                                  f"{circuit.num_qubits - 1}")
             if permutation != expected:
                 run.permutation = list(permutation)
-        run.op_index = start_index
         counters_before = self.package.counters.snapshot()
         gc_before = self.package.gc_stats.snapshot()
         # Live references for mid-run checkpoints, which must report
         # deltas without waiting for the run to finish.
         run._counters_before = counters_before
         run._gc_before = gc_before
-        # Checkpointing/auditing (and any resume) needs a well-defined
-        # position in the flattened operation stream; plain runs keep the
-        # strategy's own execute() fast path.
-        resilient = (checkpoint_path is not None or audit_every is not None
-                     or start_index > 0 or pending is not None
-                     or bool(strategy_state))
         # Pausing the cyclic collector is worth ~20% wall-clock on
         # sequential simulation (see cyclic_gc_paused).
         with cyclic_gc_paused():
             started = time.perf_counter()
             run._started = started
             try:
-                if resilient:
-                    self._run_ops(run, strategy, circuit,
-                                  start_index=start_index, pending=pending,
-                                  strategy_state=strategy_state,
-                                  checkpoint_path=checkpoint_path,
-                                  checkpoint_every=checkpoint_every,
-                                  audit_every=audit_every)
-                else:
-                    strategy.execute(run, circuit)
+                self._run_ops(run, strategy, circuit,
+                              start_index=start_index, pending=pending,
+                              strategy_state=strategy_state,
+                              checkpoint_path=checkpoint_path,
+                              checkpoint_every=checkpoint_every,
+                              audit_every=audit_every, on_op=on_op)
                 # A state that finished on the dense-block fast path
                 # materialises back into its canonical DD here, inside the
                 # timed region -- callers always receive a DD-backed state.
@@ -652,63 +616,105 @@ class SimulationEngine:
                  circuit: QuantumCircuit, *, start_index: int,
                  pending: Edge | None, strategy_state: dict | None,
                  checkpoint_path: str | None, checkpoint_every: int | None,
-                 audit_every: int | None) -> None:
-        """Resilient driver: feed the flattened operation stream.
+                 audit_every: int | None,
+                 on_op: Callable[[int], None] | None) -> None:
+        """The engine's one driver: walk the circuit a unit at a time.
 
-        After every completed ``feed`` the run records a *boundary
-        snapshot* -- ``(op_index, state, pending, strategy state)`` -- so
-        an exception anywhere (including mid-multiplication on
-        ``KeyboardInterrupt``) can still write a checkpoint from the last
-        consistent boundary.  The snapshot holds plain edge references;
-        even if a later degradation pass prunes the state and collects,
-        the referenced nodes stay serialisable (nodes are immutable and
-        serialisation never consults the unique tables).
+        A unit is one elementary operation, fed to the strategy, or one
+        pass of a top-level :class:`RepeatedBlock` for a strategy with an
+        ``apply_pass`` (DD-repeating).  Positions count flattened
+        operations either way, so a checkpoint's ``op_index`` means the
+        same for every strategy.  A resume index inside a pass (only the
+        older op-by-op driver wrote those) feeds the rest of that pass
+        operation by operation.
+
+        After each unit a checkpointed run records a boundary snapshot
+        (:meth:`_note_boundary`), so an exception anywhere, even
+        mid-multiplication, writes its checkpoint from the last
+        consistent boundary.  Audits and periodic checkpoints follow once
+        per unit that completes a multiple of their period, then
+        ``on_op`` once per operation of the unit.
         """
-        operations = list(circuit.operations())
-        total = len(operations)
-        if start_index > total:
-            raise ValueError(
-                f"checkpoint op_index {start_index} exceeds the circuit's "
-                f"{total} elementary operations -- wrong circuit?")
-        run._total_ops = total
-        run._fingerprint = circuit_fingerprint(circuit)
-        # This driver fires the per-op hook itself, once per flattened
-        # elementary operation with the global index -- fault schedules
-        # and resumed runs then agree on what "op K" means.
-        run._tick_in_apply = False
+        checkpointing = checkpoint_path is not None
+        if checkpointing or start_index:
+            total = run._total_ops = circuit.num_operations()
+            if start_index > total:
+                raise ValueError(
+                    f"checkpoint op_index {start_index} exceeds the "
+                    f"circuit's {total} elementary operations -- wrong "
+                    f"circuit?")
+            run._fingerprint = circuit_fingerprint(circuit)
         strategy.begin(run)
         if strategy_state:
             strategy.load_state_dict(strategy_state)
         if pending is not None:
             strategy.restore_pending(run, pending)
-        self._note_boundary(run, strategy)
         package = self.package
+        feed = strategy.feed
+        apply_pass = strategy.apply_pass
+        watched = checkpointing or audit_every is not None
+
+        def after_unit(first: int, end: int) -> None:
+            """Boundary work once operations ``first..end-1`` are done."""
+            if checkpointing:
+                self._note_boundary(run, strategy, end)
+            done, before = end - start_index, first - start_index
+            if (audit_every is not None
+                    and done // audit_every > before // audit_every):
+                package.assert_invariants(run.roots())
+                run.statistics.audits_run += 1
+            if (checkpoint_every is not None and end < run._total_ops
+                    and done // checkpoint_every > before // checkpoint_every):
+                self._write_checkpoint(run, strategy, circuit,
+                                       checkpoint_path, reason="periodic")
+            # after the periodic checkpoint, so a checkpoint-damage fault
+            # scheduled at this boundary sees it on disk
+            if on_op is not None:
+                for index in range(first, end):
+                    on_op(index)
+
+        def feed_ops(operations, position: int) -> int:
+            """Feed ``operations`` one unit each, from ``position`` on
+            (skipping any before the resume index); returns the position
+            after them."""
+            for operation in operations:
+                if position >= start_index:
+                    feed(run, operation)
+                    if watched:
+                        after_unit(position, position + 1)
+                    elif on_op is not None:
+                        on_op(position)
+                position += 1
+            return position
+
+        if checkpointing:
+            self._note_boundary(run, strategy, start_index)
         try:
-            for index in range(start_index, total):
-                strategy.feed(run, operations[index])
-                run.op_index = index + 1
-                self._note_boundary(run, strategy)
-                done = index + 1 - start_index
-                if audit_every is not None and done % audit_every == 0:
-                    package.assert_invariants(run.roots())
-                    run.statistics.audits_run += 1
-                if (checkpoint_every is not None and index + 1 < total
-                        and done % checkpoint_every == 0):
-                    self._write_checkpoint(run, strategy, circuit,
-                                           checkpoint_path,
-                                           reason="periodic")
-                # after the periodic checkpoint, so a checkpoint-damage
-                # fault scheduled at this boundary sees it on disk
-                if run.on_op is not None:
-                    run.on_op(index)
+            position = 0
+            # one feed_ops call per run of elementary operations, not per
+            # operation: a Shor segment is ~1 200 cheap top-level gates
+            for kind, group in groupby(circuit.instructions, type):
+                if kind is not RepeatedBlock:
+                    position = feed_ops(group, position)
+                    continue
+                for block in group:
+                    size = sum(1 for _ in block.operations())
+                    for _ in range(block.repetitions):
+                        end = position + size
+                        if apply_pass is not None and position >= start_index:
+                            apply_pass(run, block, size)
+                            after_unit(position, end)
+                        elif end > start_index:
+                            feed_ops(block.operations(), position)
+                        position = end
             strategy.flush(run)
-            run.op_index = total
-            self._note_boundary(run, strategy)
+            if checkpointing:
+                self._note_boundary(run, strategy, position)
             if audit_every is not None:
                 package.assert_invariants(run.roots())
                 run.statistics.audits_run += 1
         except (MemoryBudgetExceeded, KeyboardInterrupt) as exc:
-            if checkpoint_path is not None:
+            if checkpointing:
                 path = self._write_checkpoint(
                     run, strategy, circuit, checkpoint_path,
                     reason=type(exc).__name__)
@@ -717,11 +723,17 @@ class SimulationEngine:
             raise
 
     @staticmethod
-    def _note_boundary(run: _Run, strategy: SimulationStrategy) -> None:
-        # Statistics are snapshotted per boundary too: a checkpoint written
-        # after a mid-feed exception must not count the interrupted (and
-        # later replayed) operation, or resumed totals double-count it.
-        run._last_good = (run.op_index, run.state, run._pending,
+    def _note_boundary(run: _Run, strategy: SimulationStrategy,
+                       op_index: int) -> None:
+        """Snapshot the run at the boundary before operation ``op_index``.
+
+        The snapshot holds plain edge references: nodes are immutable and
+        serialisation never consults the unique tables, so they stay
+        serialisable even if a later prune collects them.  Statistics are
+        snapshotted too: a checkpoint written after a mid-unit exception
+        must not count the interrupted (and later replayed) unit.
+        """
+        run._last_good = (op_index, run.state, run._pending,
                           strategy.state_dict(),
                           run.statistics.as_dict(),
                           list(run.permutation)
@@ -905,8 +917,6 @@ class SimulationEngine:
             if run._combine_guard is not None:
                 run._combine_guard = self._permute_matrix(
                     run, run._combine_guard, step)
-                run.last_product_nodes = package.count_nodes(
-                    run._combine_guard)
             base = run.permutation or list(range(run.num_qubits))
             total = [step[base[q]] for q in range(run.num_qubits)]
             run.permutation = None \
@@ -954,8 +964,8 @@ class SimulationEngine:
         (pure caches), then fidelity-bounded pruning of the state DD --
         the only lossy step, bounded by the policy's cumulative fidelity
         floor.  When the ladder cannot get under budget the caller's
-        ``check_budget`` raises as before (and the resilient driver writes
-        a checkpoint on the way out).
+        ``check_budget`` raises as before (and a checkpointed run writes a
+        checkpoint on the way out).
         """
         policy = run.degradation
         package = self.package

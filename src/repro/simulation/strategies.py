@@ -17,15 +17,17 @@ matrix-vector multiplications (simulation steps, Eq. 1):
   resulting matrix DD for every repetition.
 
 Strategies are streaming objects: the engine calls :meth:`feed` per
-elementary operation and :meth:`flush` at boundaries, so they compose (the
+elementary operation and :meth:`flush` at the end, so they compose (the
 repeating strategy delegates non-block segments to any inner strategy).
+A strategy that reuses blocks defines ``apply_pass``; the engine then hands
+it each pass of a top-level repeated block as one unit.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..circuit.circuit import QuantumCircuit, RepeatedBlock
+from ..circuit.circuit import RepeatedBlock
 from ..dd.edge import Edge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,9 +45,15 @@ __all__ = [
 
 
 class SimulationStrategy:
-    """Base class: drives a circuit through a run, one operation at a time."""
+    """Base class: consumes a run's operations, one at a time."""
 
     name = "abstract"
+
+    #: ``apply_pass(run, block, size)`` on strategies that apply one pass
+    #: of a :class:`~repro.circuit.circuit.RepeatedBlock` (``size``
+    #: elementary operations) as a unit; ``None`` makes the engine feed
+    #: block operations one by one.
+    apply_pass = None
 
     def describe(self) -> str:
         """Parametrised display name (e.g. ``k-operations(k=4)``)."""
@@ -99,23 +107,6 @@ class SimulationStrategy:
     def flush(self, run: "_Run") -> None:
         """Apply any pending combined matrix to the state."""
 
-    # -- circuit driver -------------------------------------------------
-
-    def execute(self, run: "_Run", circuit: QuantumCircuit) -> None:
-        self.begin(run)
-        for instruction in circuit.instructions:
-            if isinstance(instruction, RepeatedBlock):
-                self.handle_block(run, instruction)
-            else:
-                self.feed(run, instruction)
-        self.flush(run)
-
-    def handle_block(self, run: "_Run", block: RepeatedBlock) -> None:
-        """Default block handling: unroll (no structural knowledge used)."""
-        for _ in range(block.repetitions):
-            for operation in block.operations():
-                self.feed(run, operation)
-
 
 class SequentialStrategy(SimulationStrategy):
     """State-of-the-art baseline: one state update per gate (pure Eq. 1).
@@ -139,36 +130,28 @@ class SequentialStrategy(SimulationStrategy):
 class _AccumulatingStrategy(SimulationStrategy):
     """Shared machinery for strategies that build up a product matrix.
 
-    ``_product_nodes`` tracks the pending product's DD size without
-    re-traversing it: a fresh single-gate product is counted once, and every
-    combination reuses the count :meth:`_Run.combine` already took for its
-    peak-size statistic.  Size-bounded strategies previously called
-    ``count_nodes(product)`` on *every* feed -- an O(product) walk per
-    operation, quadratic over a combining streak.
+    Size-bounded strategies re-read ``count_nodes(product)`` on every feed:
+    the count of a product :meth:`_Run.combine` returned is stored on its
+    root, so that is one slot read, not a walk.
     """
 
     def begin(self, run: "_Run") -> None:
         self._product: Edge | None = None
-        self._product_nodes = 0
         run.set_pending(None)
 
     def restore_pending(self, run: "_Run", pending: Edge) -> None:
         self._product = pending
-        self._product_nodes = run.package.count_nodes(pending)
         run.set_pending(pending)
 
     def on_reorder(self, run: "_Run") -> None:
         """Re-adopt the (engine-permuted) pending product after a sift."""
         if self._product is not None:
             self._product = run._pending
-            self._product_nodes = run.package.count_nodes(self._product) \
-                if self._product is not None else 0
 
     def flush(self, run: "_Run") -> None:
         if self._product is not None:
             run.apply_matrix(self._product)
             self._product = None
-            self._product_nodes = 0
             run.set_pending(None)
 
     def _absorb(self, run: "_Run", operation) -> Edge:
@@ -176,11 +159,9 @@ class _AccumulatingStrategy(SimulationStrategy):
         gate = run.gate_dd(operation)
         if self._product is None:
             self._product = gate
-            self._product_nodes = run.package.count_nodes(gate)
         else:
             # Later operations act later: M_new @ M_accumulated.
             self._product = run.combine(gate, self._product)
-            self._product_nodes = run.last_product_nodes
         run.set_pending(self._product)
         run.note_operation()
         return self._product
@@ -251,8 +232,8 @@ class MaxSizeStrategy(_AccumulatingStrategy):
         return f"smax={self.s_max}"
 
     def feed(self, run: "_Run", operation) -> None:
-        self._absorb(run, operation)
-        if self._product_nodes > self.s_max:
+        product = self._absorb(run, operation)
+        if run.package.count_nodes(product) > self.s_max:
             self.flush(run)
 
 
@@ -315,8 +296,8 @@ class AdaptiveStrategy(_AccumulatingStrategy):
         return min(self.ceiling, max(self.floor, scaled))
 
     def feed(self, run: "_Run", operation) -> None:
-        self._absorb(run, operation)
-        if self._product_nodes > self._threshold():
+        product = self._absorb(run, operation)
+        if run.package.count_nodes(product) > self._threshold():
             self.flush(run)
 
     def flush(self, run: "_Run") -> None:
@@ -352,8 +333,9 @@ class RepeatingBlockStrategy(SimulationStrategy):
         return f"repeating:{self.inner.spec()}"
 
     def state_dict(self) -> dict:
-        # The block cache is keyed by object identity and rebuilt lazily;
-        # only the inner strategy carries resumable state.
+        # The block cache is keyed by object identity and rebuilt lazily
+        # (a resumed run re-combines each block it reaches once); only the
+        # inner strategy carries resumable state.
         return self.inner.state_dict()
 
     def load_state_dict(self, payload: dict) -> None:
@@ -384,29 +366,29 @@ class RepeatingBlockStrategy(SimulationStrategy):
         self._block_cache.clear()
         run._extra_roots.clear()
 
-    def handle_block(self, run: "_Run", block: RepeatedBlock) -> None:
-        if block.repetitions == 0:
-            return
+    def apply_pass(self, run: "_Run", block: RepeatedBlock,
+                   size: int) -> None:
+        """Apply one pass of ``block`` (``size`` elementary operations).
+
+        The first pass combines the block into one matrix DD; later passes
+        re-use it -- one MxV each.  The cache is read per pass: a governed
+        reorder clears it (the combined DD belongs to the old variable
+        order), and the next pass re-combines under the new order.
+        """
         # The pending inner product (if any) must hit the state first; the
-        # block matrix is re-used across repetitions and cannot absorb it.
+        # block matrix is re-used across passes and cannot absorb it.
         self.inner.flush(run)
-        body_size = sum(1 for _ in block.operations())
-        # Every repetition logically consumes the block's operations, even
-        # though only cache misses do multiplication work.
-        run.note_operation(body_size * block.repetitions)
-        for _ in range(block.repetitions):
-            # Re-fetched every pass: a governed mid-block reorder clears
-            # the cache (the combined DD belongs to the old variable
-            # order), and holding a pre-reorder local across apply_matrix
-            # would corrupt the remaining repetitions.
-            combined = self._block_cache.get(id(block))
-            if combined is None:
-                combined = self._combine_block(run, block)
-                self._block_cache[id(block)] = combined
-                run.add_root(combined)
-            else:
-                run.statistics.reused_block_applications += 1
-            run.apply_matrix(combined)
+        # A pass logically consumes the block's operations, even though
+        # only a cache miss does multiplication work.
+        run.note_operation(size)
+        combined = self._block_cache.get(id(block))
+        if combined is None:
+            combined = self._combine_block(run, block)
+            self._block_cache[id(block)] = combined
+            run.add_root(combined)
+        else:
+            run.statistics.reused_block_applications += 1
+        run.apply_matrix(combined)
 
     def _combine_block(self, run: "_Run", block: RepeatedBlock) -> Edge:
         product: Edge | None = None

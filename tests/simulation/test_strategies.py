@@ -209,46 +209,6 @@ class TestSpecParsing:
         assert strategy_from_spec("adaptive=0.25").ratio == 0.25
 
 
-class _CheckedMaxSize(MaxSizeStrategy):
-    """MaxSizeStrategy that re-counts the product on every feed and asserts
-    the memoised size (what decisions are now based on) is exact."""
-
-    def feed(self, run, operation):
-        super().feed(run, operation)
-        if self._product is not None:
-            assert self._product_nodes == \
-                run.package.count_nodes(self._product)
-
-
-class TestMemoisedProductCounts:
-    def test_memo_matches_exact_count_throughout(self):
-        engine = SimulationEngine()
-        engine.simulate(bell_plus_circuit(), _CheckedMaxSize(4))
-
-    def test_decisions_unchanged_on_tier1_circuits(self):
-        # the memoised count must produce the same apply/combine schedule
-        # as the exact re-count it replaced, on the suite's own circuits
-        from repro.algorithms.grover import grover_circuit
-        from repro.algorithms.qft import qft_circuit
-        for circuit in (bell_plus_circuit(), qft_circuit(5),
-                        grover_circuit(4, 5).circuit):
-            for s_max in (1, 8, 64):
-                checked = SimulationEngine().simulate(
-                    circuit, _CheckedMaxSize(s_max)).statistics
-                plain = SimulationEngine().simulate(
-                    circuit, MaxSizeStrategy(s_max)).statistics
-                assert checked.matrix_vector_mults == \
-                    plain.matrix_vector_mults
-                assert checked.matrix_matrix_mults == \
-                    plain.matrix_matrix_mults
-
-    def test_adaptive_uses_memoised_count(self):
-        from repro.simulation import AdaptiveStrategy
-        engine = SimulationEngine()
-        result = engine.simulate(bell_plus_circuit(), AdaptiveStrategy())
-        assert result.statistics.matrix_vector_mults > 0
-
-
 class TestMetamorphicEquivalence:
     """Metamorphic relations across strategies: the strategy is a free
     variable of the simulation (states agree to fidelity 1 - 1e-9 inside a

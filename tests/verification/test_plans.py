@@ -21,6 +21,7 @@ from repro.verification import (BrokenReorderEngine, CoverageMap,
                                 draw_case, draw_plan, engine_class,
                                 execute_plan, mutate_case, run_mutation,
                                 run_plans)
+from repro.verification.cases import _delete_operation
 
 
 def entangler(num_qubits=5):
@@ -242,19 +243,31 @@ class TestCampaigns:
     def test_planted_reorder_bug_is_caught_and_minimized(self):
         # The acceptance criterion: an engine that skips reorder
         # notifications (stale block cache, uncleared extra roots) must
-        # be caught by the option-surface campaign and minimized to a
-        # <=5-gate circuit under a <=2-step option plan.
+        # be caught by the option-surface campaign and minimized.  It is
+        # caught at case 28, whose plan interrupts at op 4 and resumes:
+        # DD-repeating keeps its block cache on every run, also a resumed
+        # one, so a cadence sift leaves it stale.  The minimizer stops at
+        # 9 gates on 5 qubits under a 2-step plan; the corpus entry
+        # reorder-notify-block-cache pins a 3-gate reproducer.
         config = FuzzConfig(seed=11, max_failures=1,
                             plan_engine="broken-reorder")
         report = run_plans(config, max_cases=400)
         assert not report.ok
+        assert report.circuits_checked == 28
         failure = report.failures[0]
         assert failure.case is not None
         assert failure.engine == "broken-reorder"
         case = FuzzCase.from_dict(failure.case)
-        assert case.gate_count() <= 5
+        assert (case.gate_count(), case.num_qubits) == (9, 5)
         assert len(case.plan.options()) <= 2
+        assert case.plan.options() == ["strategy=repeating", "reorder=every=1"]
         # the minimized reproducer must still fail on the broken engine
         # and pass on the default one -- it pins the bug, not noise
         assert check_case(case, engine_cls=BrokenReorderEngine).failed
         assert not check_case(case).failed
+        # 1-minimal: deleting any one gate (block indices adjusted, as
+        # the minimizer deletes gates) makes it pass on the broken engine
+        for index in range(case.gate_count()):
+            shorter = _delete_operation(case, index)
+            assert not check_case(shorter,
+                                  engine_cls=BrokenReorderEngine).failed
