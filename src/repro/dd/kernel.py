@@ -39,11 +39,13 @@ application as a handful of numpy slice operations.  The cutover is driven
 by a measured cost model (worklist units per apply pass vs. the projected
 dense-pass cost, see ``apply_gate``), is capped so large sparse registers
 never densify, can be disabled with ``Package(dense_blocks=False)``, and
-converts back to a flat DD on demand (``DenseState.to_flat``: level by
-level, one ``np.lexsort`` per level plus one ``_make`` per distinct
-node).  Supremacy-style workloads whose states approach maximal DD width
-spend almost all their time on the dense path; genuinely sparse workloads
-(large Grover registers past the cap) never leave the flat DD path.
+converts back to a flat DD on demand (``DenseState.to_flat``: numpy
+passes over the block, then per level one ``np.lexsort`` and, for each
+distinct node the result reaches, one unique-table probe and at most one
+complex-table probe).  Supremacy-style workloads whose states approach
+maximal DD width spend almost all their time on the dense path; genuinely
+sparse workloads (large Grover registers past the cap) never leave the
+flat DD path.
 
 State DDs live in the flat store as :class:`FlatEdge` roots; matrix DDs
 stay object-based (they are small) and are imported into a flat mirror on
@@ -1198,59 +1200,130 @@ class FlatKernel:
         return DenseState(self, amps, lvl[root])
 
     def from_dense(self, amps) -> FlatEdge:
-        """Rebuild a flat DD from an amplitude block, level by level.
+        """Rebuild a flat DD from an amplitude block, interning only the
+        nodes the result reaches.
 
-        Each pass halves the working arrays: positions pair into
-        ``(child0, child1)`` candidates, normalised with the package's
-        dominance rule over the whole level.  One stable ``np.lexsort`` on
-        the child indices and tolerance-rounded weight ratios groups equal
-        pairs; each group pays one ``_make`` (the exact complex-table
-        canonicalisation) through its last member, in sorted order.  The
-        ratios stay float64: for two sub-tolerance children they reach
-        about tol/|tiny|, which overflows int64 on the grid.  Pairs split
-        across groups near a rounding boundary still unify inside
-        ``_make``; each position keeps its own norm as the upward weight.
+        Position ``p`` of level ``L`` pairs positions ``2p`` and ``2p + 1``
+        of the level below (amplitudes, at level 0).  Its *norm*, the
+        member that dominates under ``_make``'s rule
+        (``|a1| > |a0| + tol``), is its amplitude one level up.  Three
+        passes:
+
+        1. bottom-up in numpy over the whole block: every position's norm
+           and its two weight ratios (member / norm);
+        2. top-down from the root: which positions are reached.  A ratio
+           below tolerance in both components (``ComplexTable.is_zero``)
+           is a zero edge, and nothing below it is reached;
+        3. bottom-up over the reached positions only, interning them.  One
+           stable ``np.lexsort`` on the child indices and tolerance-rounded
+           ratios groups equal pairs, and each group is interned through
+           its last member in sorted order: the dominant child gets weight
+           exactly 1, the other one complex-table ``lookup`` unless it is a
+           zero edge.
+
+        So the work is per node of the result, apart from the numpy passes:
+        noise under zero edges costs no node and no probe.  A position of
+        weight zero is never reached and never groups with a reached one,
+        so a block whose nonzero positions are all reached is grouped and
+        interned as if every position took part.  Each position passes its
+        raw norm upward; no norm is interned.  The ratios stay float64: for
+        two sub-tolerance children they reach about tol/|tiny|, which
+        overflows int64 on the grid.  Pairs split across groups near a
+        rounding boundary still unify in the unique table.
         """
         size = int(amps.size)
         n = size.bit_length() - 1
         if size != 1 << n:
             raise ValueError("amplitude block length must be a power of 2")
         tol = self.tolerance
-        grid = self._grid
-        make = self._make
-        idx = np.zeros(size, dtype=np.int64)
+        levels = []
         wts = np.asarray(amps, dtype=np.complex128)
+        for _ in range(n):
+            pair = wts.reshape(-1, 2)
+            hi = np.abs(pair[:, 1]) > np.abs(pair[:, 0]) + tol
+            wts = np.where(hi, pair[:, 1], pair[:, 0])
+            ratio = pair / np.where(wts == 0, 1, wts)[:, None]
+            # not ComplexTable.is_zero, so a NaN ratio stays live and its
+            # lookup rejects it
+            live = ~((np.abs(ratio.real) < tol) & (np.abs(ratio.imag) < tol))
+            levels.append((pair, hi, ratio, live))
+        weight = complex(wts[0])
+        if weight == 0:
+            return FlatEdge(self, 0, 0j)
+        reached = [None] * n
+        reach = np.ones(1, dtype=bool)
+        for level in range(n - 1, -1, -1):
+            reached[level] = reach.nonzero()[0]
+            if level:
+                reach = reach.repeat(2) & levels[level][3].ravel()
+        grid = self._grid
+        lookup = self._lookup
+        unique = self.unique
+        counters = self.counters
+        lvl, c0, c1, w0, w1 = self.lvl, self.c0, self.c1, self.w0, self.w1
+        one = 1 + 0j
+        idx = np.zeros(size, dtype=np.int64)
         for level in range(n):
-            i0 = idx[0::2]
-            i1 = idx[1::2]
-            a0 = wts[0::2]
-            a1 = wts[1::2]
-            norm = np.where(np.abs(a1) > np.abs(a0) + tol, a1, a0)
-            dead = norm == 0
-            safe = np.where(dead, 1, norm)
-            q0 = a0 / safe
-            q1 = a1 / safe
-            # Primary key last.  A dead pair (norm 0) has both ratios near
-            # 0, a live one a ratio of 1: they never share a group.
-            keys = (np.round(q1.imag * grid), np.round(q1.real * grid),
-                    np.round(q0.imag * grid), np.round(q0.real * grid),
-                    i1, i0)
-            order = np.lexsort(keys)
-            first = np.zeros(order.size, dtype=bool)
-            first[0] = True
-            for key in keys:
-                ks = key[order]
-                first[1:] |= ks[1:] != ks[:-1]
-            reps = order[np.append(first[1:], True)]
-            nodes = [0 if d else make(level, x0, b0, x1, b1)[0]
-                     for d, x0, b0, x1, b1 in zip(
-                         dead[reps].tolist(), i0[reps].tolist(),
-                         a0[reps].tolist(), i1[reps].tolist(),
-                         a1[reps].tolist())]
-            idx = np.empty(order.size, dtype=np.int64)
-            idx[order] = np.array(nodes, dtype=np.int64)[np.cumsum(first) - 1]
-            wts = np.where(dead, 0j, norm)
-        return FlatEdge(self, int(idx[0]), complex(wts[0]))
+            pair, hi, ratio, live = levels[level]
+            sel = reached[level]
+            kids = idx.reshape(-1, 2).take(sel, axis=0)
+            grid_ratio = ratio.take(sel, axis=0).view(np.float64) * grid
+            # Columns i0, i1, then the rounded q0.real, q0.imag, q1.real,
+            # q1.imag; lexsort takes its primary key last.
+            keys = np.concatenate((kids, grid_ratio.round()), axis=1)
+            order = np.lexsort(keys.T[::-1])
+            ordered = keys.take(order, axis=0)
+            last = np.empty(order.size, dtype=bool)
+            last[-1] = True
+            np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1,
+                                 out=last[:-1])
+            reps = order[last]
+            at = sel[reps]
+            x0s, x1s = kids[reps].T.tolist()
+            b0s, b1s = pair[at].T.tolist()
+            l0s, l1s = live[at].T.tolist()
+            nodes = []
+            # A child over a zero edge was not reached, so its index is
+            # already 0; level-0 children are the terminal.  The ratios
+            # are divided again in Python, as ``_make`` divides them, and
+            # may differ from numpy's in the last bit: a lookup at the
+            # tolerance boundary can still return 0.
+            for x0, b0, x1, b1, h, l0, l1 in zip(x0s, b0s, x1s, b1s,
+                                                 hi[at].tolist(), l0s, l1s):
+                if h:
+                    r1 = one
+                    if l0:
+                        r0 = lookup(b0 / b1)
+                        if r0 == 0:
+                            x0 = 0
+                    else:
+                        r0 = 0j
+                else:
+                    r0 = one
+                    if not l1:
+                        r1 = 0j
+                    elif b1 == b0:
+                        r1 = one
+                    else:
+                        r1 = lookup(b1 / b0)
+                        if r1 == 0:
+                            x1 = 0
+                key = (level, x0, r0, x1, r1)
+                node = unique.get(key)
+                if node is None:
+                    node = len(lvl)
+                    lvl.append(level)
+                    c0.append(x0)
+                    c1.append(x1)
+                    w0.append(r0)
+                    w1.append(r1)
+                    unique[key] = node
+                    counters.nodes_created += 1
+                nodes.append(node)
+            idx = np.zeros(len(pair), dtype=np.int64)
+            idx[sel.take(order)] = np.array(nodes, dtype=np.int64)[
+                last.cumsum() - last]
+        return FlatEdge(self, int(idx[0]), weight)
 
     def _dense_selectors(self, prep: tuple, num_amps: int) -> tuple:
         """Cached ``(low_span, high_sel, low_sel)`` for a prepared gate."""

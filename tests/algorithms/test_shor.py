@@ -259,7 +259,10 @@ class TestRunOverhead:
 
 class TestIterativeKernelStaysFlat:
     """Measuring and collapsing in the flat store keeps every segment of
-    an iterative run on the flat kernel: no object-node vector work."""
+    an iterative run on the flat kernel: no object-node vector work.  The
+    gates-mode segments end on dense blocks whose amplitudes are mostly
+    noise; the store stays normalised and the complex table small only if
+    their rebuild interns nothing below a zero edge."""
 
     @pytest.mark.parametrize("mode,strategy", [
         pytest.param("gates", SequentialStrategy(), id="gates-sequential"),
@@ -280,11 +283,13 @@ class TestIterativeKernelStaysFlat:
         for name in ("_apply_gate_rec", "_mult_mv", "make_vector_node"):
             monkeypatch.setattr(Package, name, counting(name))
         options = {} if strategy is None else {"strategy": strategy}
+        package = Package(kernel="iterative")
         flat = ShorOrderFinder(
-            21, 2, mode=mode, seed=3,
-            engine=SimulationEngine(Package(kernel="iterative")),
+            21, 2, mode=mode, seed=3, engine=SimulationEngine(package),
             **options).run()
         assert calls == {}
+        assert package.flat.check_invariants() == []
+        assert len(package.complex_table) < 1000
         reference = ShorOrderFinder(
             21, 2, mode=mode, seed=3,
             engine=SimulationEngine(Package(kernel="recursive")),

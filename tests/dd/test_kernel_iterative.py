@@ -374,6 +374,34 @@ class TestDenseBlocks:
             / (np.vdot(amps, amps).real * np.vdot(rebuilt, rebuilt).real)
         assert overlap >= 1 - 1e-12
 
+    def test_noise_below_zero_edges_is_not_built(self):
+        """Six amplitudes over 1e-17 noise: the noise hangs below zero
+        edges, so the rebuild interns only the nodes the root reaches, all
+        of them normalised, and reads back the block without its noise."""
+        rng = np.random.default_rng(89)
+        amps = 1e-17 * (rng.normal(size=1 << 10)
+                        + 1j * rng.normal(size=1 << 10))
+        amps[rng.choice(1 << 10, size=6, replace=False)] = \
+            rng.normal(size=6) + 1j * rng.normal(size=6)
+        amps /= np.linalg.norm(amps)
+        package = Package(kernel="iterative")
+        edge = package.flat.from_dense(amps)
+        assert package.counters.nodes_created == package.count_nodes(edge)
+        assert package.flat.check_invariants() == []
+        np.testing.assert_allclose(
+            flat_to_numpy(package, edge, 10),
+            np.where(np.abs(amps) < 1e-12, 0, amps), rtol=0, atol=1e-15)
+
+    def test_nan_amplitude_is_rejected(self):
+        """A NaN ratio is not a zero edge: wherever the NaN sits, it
+        reaches a complex-table lookup, which refuses to intern it."""
+        rng = np.random.default_rng(97)
+        for index in range(16):
+            amps = random_amplitudes(rng, 4)
+            amps[index] = np.nan
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                Package(kernel="iterative").flat.from_dense(amps)
+
     def test_two_amplitude_block(self):
         package = Package(kernel="iterative")
         edge = package.flat.from_dense(np.array([0.6, 0.8j]))
@@ -387,7 +415,9 @@ class TestDenseBlocks:
     def test_rebuild_pins_interning_order(self):
         """Golden values: the groups are interned in sorted order with the
         last member as representative, so near-tolerance weights meet the
-        complex table in a fixed order.  Another order moves these."""
+        complex table in a fixed order.  Another order moves these.  A node
+        interns at most one weight ratio and never its norm, so the table
+        holds 58 entries (83 when each node also interned its norm)."""
         rng = np.random.default_rng(2026)
         base = rng.normal(size=8) + 1j * rng.normal(size=8)
         factors = np.array([1, -1, 1j, 0.5, 0.5j, -0.25])
@@ -400,7 +430,7 @@ class TestDenseBlocks:
         edge = package.flat.from_dense(amps)
         assert (edge.index, len(package.complex_table),
                 package.counters.nodes_created,
-                package.count_nodes(edge)) == (124, 83, 124, 124)
+                package.count_nodes(edge)) == (124, 58, 124, 124)
 
 
 class TestDeterministicCutover:

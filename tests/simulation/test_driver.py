@@ -21,7 +21,7 @@ from repro.algorithms.grover import grover_circuit
 from repro.baseline import simulate_statevector
 from repro.circuit import RepeatedBlock
 from repro.dd import vector_to_numpy
-from repro.dd.package import DDIntegrityError, Package
+from repro.dd.package import Package
 from repro.simulation import (SimulationEngine, load_checkpoint,
                               strategy_from_spec)
 
@@ -36,13 +36,6 @@ CIRCUITS = {
     # no blocks; short, since a per-operation audit costs ~12 ms
     "random4": random_circuit(4, 40, seed=101, rotations=True),
 }
-
-#: An audit converts a dense block to a flat DD, and
-#: ``FlatKernel.from_dense`` interns a level-0 node from two noise-level
-#: amplitudes (~1e-17) with a child weight of magnitude 1.89, which the
-#: auditor rejects.  A kernel defect, not a driver one; the plain and
-#: checkpointed runs of these cases are compared as usual.
-DENSE_AUDIT_DEFECT = {("grover6", "sequential", "iterative")}
 
 
 def schedule(statistics) -> tuple[int, int, int, int]:
@@ -79,18 +72,8 @@ def matches_oracle(result, circuit) -> bool:
     return np.allclose(amplitudes, simulate_statevector(circuit), atol=1e-8)
 
 
-def grid(audited: bool):
-    for name in CIRCUITS:
-        for spec in SPECS:
-            for kernel in KERNELS:
-                marks = ()
-                if audited and (name, spec, kernel) in DENSE_AUDIT_DEFECT:
-                    marks = pytest.mark.xfail(
-                        strict=True, raises=DDIntegrityError,
-                        reason="FlatKernel.from_dense interns a "
-                               "denormalised node from noise amplitudes")
-                yield pytest.param(name, spec, kernel, marks=marks,
-                                   id=f"{name}-{spec}-{kernel}")
+GRID = [pytest.param(name, spec, kernel, id=f"{name}-{spec}-{kernel}")
+        for name in CIRCUITS for spec in SPECS for kernel in KERNELS]
 
 
 class TestOptionsKeepTheSchedule:
@@ -115,14 +98,14 @@ class TestOptionsKeepTheSchedule:
         resumed = SimulationEngine().resume(path, circuit)
         assert schedule(resumed.statistics) == (12, 62, 4, 198)
 
-    @pytest.mark.parametrize("name,spec,kernel", grid(audited=True))
+    @pytest.mark.parametrize("name,spec,kernel", GRID)
     def test_audited_run(self, name, spec, kernel):
         audited = simulate(kernel, CIRCUITS[name], spec,
                            audit_every=1).statistics
         assert schedule(audited) == plain_schedule(name, spec, kernel)
         assert audited.audits_run > 0
 
-    @pytest.mark.parametrize("name,spec,kernel", grid(audited=False))
+    @pytest.mark.parametrize("name,spec,kernel", GRID)
     def test_checkpointed_run(self, name, spec, kernel, tmp_path):
         checkpointed = simulate(kernel, CIRCUITS[name], spec,
                                 checkpoint_path=str(tmp_path / "run.ckpt"),
