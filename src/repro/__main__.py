@@ -1113,7 +1113,7 @@ def main(argv: list[str] | None = None) -> int:
                            "uses this to prove the ratchet bites")
     fuzz.add_argument("--plan-options", action="store_true",
                       help="option-surface mode: every case runs a random "
-                           "RunPlan (kernel, identity edges, strategy, "
+                           "RunPlan (kernel, dense blocks, strategy, "
                            "reordering, node budgets, checkpoint/resume) "
                            "against the dense oracle")
     fuzz.add_argument("--mutate", action="store_true",

@@ -22,7 +22,6 @@ from ..algorithms.grover import grover_circuit
 from ..algorithms.shor import ShorOrderFinder
 from ..algorithms.supremacy import supremacy_circuit
 from ..circuit.circuit import QuantumCircuit
-from ..dd.package import Package
 from ..simulation.engine import SimulationEngine
 from ..simulation.statistics import SimulationStatistics
 from ..simulation.strategies import SimulationStrategy
@@ -84,13 +83,7 @@ def _circuit_instance(name: str, kind: str, description: str,
         if use_local_apply:
             engine = SimulationEngine(governor=governor)
         else:
-            # Paper mode: no local-gate fast path AND no identity-aware
-            # multiplication shortcut, so machine-independent recursion
-            # counts match the paper's cost model (identity padding is
-            # traversed like any other sub-matrix).
-            engine = SimulationEngine(
-                package=Package(identity_shortcut=False),
-                use_local_apply=False, governor=governor)
+            engine = SimulationEngine.paper_literal(governor=governor)
         return engine.simulate(built[0], strategy,
                                reorder=reorder, on_op=on_op).statistics
 
@@ -147,9 +140,7 @@ def _shor_instance(modulus: int, base: int, seed: int = 7) -> BenchmarkInstance:
         if use_local_apply:
             engine = SimulationEngine(governor=governor)
         else:
-            engine = SimulationEngine(
-                package=Package(identity_shortcut=False),
-                use_local_apply=False, governor=governor)
+            engine = SimulationEngine.paper_literal(governor=governor)
         finder = ShorOrderFinder(modulus, base, mode="gates",
                                  strategy=strategy, seed=seed, engine=engine)
         return finder.run().statistics

@@ -149,9 +149,7 @@ class DDMatrixBackend(_EngineBackend):
                         "(sequential, k=N, smax=N, adaptive, repeating)")
 
     def _make_engine(self) -> SimulationEngine:
-        return SimulationEngine(package=Package(identity_shortcut=False),
-                                use_local_apply=False,
-                                governor=self._governor())
+        return SimulationEngine.paper_literal(governor=self._governor())
 
 
 class DDIterativeBackend(_EngineBackend):

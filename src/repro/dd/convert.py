@@ -39,10 +39,10 @@ def matrix_to_numpy(matrix: Edge, num_qubits: int) -> np.ndarray:
     result = np.zeros((size, size), dtype=complex)
     if matrix.weight == 0:
         return result
-    if matrix.node.level > num_qubits - 1:
+    if matrix.node.level != num_qubits - 1:
         raise ValueError(f"matrix has {matrix.node.level + 1} qubits, "
                          f"expected {num_qubits}")
-    _fill_matrix(result, matrix.node, 0, 0, matrix.weight, num_qubits - 1)
+    _fill_matrix(result, matrix.node, 0, 0, matrix.weight)
     return result
 
 
@@ -85,19 +85,7 @@ def _fill_vector(result: np.ndarray, node, offset: int,
 
 
 def _fill_matrix(result: np.ndarray, node, row: int, col: int,
-                 weight: complex, expected: int) -> None:
-    # Identity-skipping DDs (``Package(identity_edges=True)``) may point an
-    # edge at a node more than one level down (or at the terminal from any
-    # level); the skipped levels are implicit identity factors.  ``expected``
-    # tracks the level this position *should* be at; while the node sits
-    # lower, expand one implicit I2 level: only the diagonal blocks exist
-    # and both reuse the same (node, weight) payload.
-    if node.level < expected:
-        span = 1 << expected
-        _fill_matrix(result, node, row, col, weight, expected - 1)
-        _fill_matrix(result, node, row + span, col + span, weight,
-                     expected - 1)
-        return
+                 weight: complex) -> None:
     if node.level == -1:
         result[row, col] = weight
         return
@@ -105,8 +93,7 @@ def _fill_matrix(result: np.ndarray, node, row: int, col: int,
     for index, child in enumerate(node.edges):
         if child.weight != 0:
             _fill_matrix(result, child.node, row + (index >> 1) * span,
-                         col + (index & 1) * span, weight * child.weight,
-                         node.level - 1)
+                         col + (index & 1) * span, weight * child.weight)
 
 
 def _build_vector(package: Package, amplitudes, level: int,

@@ -1496,9 +1496,7 @@ class FlatKernel:
         """Product of an object matrix DD with a flat state DD.
 
         Level compatibility is validated by the caller
-        (``Package.multiply_matrix_vector``); with identity-skipping
-        edges the matrix root may sit *below* the state root, in which
-        case the skipped levels act as identity (structural copy).
+        (``Package.multiply_matrix_vector``).
         """
         w = m.weight * v.weight
         if w == 0:
@@ -1518,7 +1516,6 @@ class FlatKernel:
             counters.mult_mv_recursions += 1
             return got
         lvl = self.lvl
-        mlvl = self.mlvl
         ment = self.ment
         c0 = self.c0
         c1 = self.c1
@@ -1536,28 +1533,21 @@ class FlatKernel:
             terms = frame[1]
             if terms is None:
                 counters.mult_mv_recursions += 1
-                if vi == 0 or mi == 0 or mi in midn:
-                    # Terminal product, scalar matrix below an identity
-                    # gap, or the I*v shortcut: all resolve to v itself.
+                if vi == 0 or mi in midn:
+                    # Terminal product or the I*v shortcut: both resolve
+                    # to v itself.
                     memo[k] = (vi, 1 + 0j)
                     stack.pop()
                     continue
-                vlevel = lvl[vi]
-                if mlvl[mi] < vlevel:
-                    # Identity-skipped levels: the matrix acts as I here,
-                    # so the product is a structural copy one level down.
-                    pairs = (((mi, c0[vi]), 0, w0[vi]),
-                             ((mi, c1[vi]), 1, w1[vi]))
-                else:
-                    m00, q00, m01, q01, m10, q10, m11, q11 = ment[mi]
-                    va0 = w0[vi]
-                    va1 = w1[vi]
-                    vc0 = c0[vi]
-                    vc1 = c1[vi]
-                    pairs = (((m00, vc0), 0, q00 * va0),
-                             ((m01, vc1), 0, q01 * va1),
-                             ((m10, vc0), 1, q10 * va0),
-                             ((m11, vc1), 1, q11 * va1))
+                m00, q00, m01, q01, m10, q10, m11, q11 = ment[mi]
+                va0 = w0[vi]
+                va1 = w1[vi]
+                vc0 = c0[vi]
+                vc1 = c1[vi]
+                pairs = (((m00, vc0), 0, q00 * va0),
+                         ((m01, vc1), 0, q01 * va1),
+                         ((m10, vc0), 1, q10 * va0),
+                         ((m11, vc1), 1, q11 * va1))
                 terms = []
                 pending = []
                 pushed = set()
@@ -1565,7 +1555,7 @@ class FlatKernel:
                     if tw == 0:
                         continue
                     cmi, cvi = ck
-                    if cvi == 0 or cmi == 0 or cmi in midn:
+                    if cvi == 0 or cmi in midn:
                         terms.append((row, None, cvi, tw))
                         continue
                     self.mult_lookups += 1

@@ -175,7 +175,6 @@ class Package:
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE,
                  identity_shortcut: bool = True,
                  kernel: str = "recursive",
-                 identity_edges: bool = False,
                  dense_blocks: bool = True) -> None:
         if kernel not in ("recursive", "iterative"):
             raise ValueError(f"kernel must be 'recursive' or 'iterative', "
@@ -210,13 +209,6 @@ class Package:
         #: the per-node object recursion, "iterative" routes states through
         #: the flat-array worklist kernel (:mod:`repro.dd.kernel`).
         self.kernel = kernel
-        #: identity-skipping matrix edges (arXiv:2406.11959): matrix nodes
-        #: of the form (e, 0, 0, e) collapse to ``e``, so gate DDs and
-        #: matrix products never materialise identity padding.  Level gaps
-        #: are then legal in matrix DDs and all matrix arithmetic treats a
-        #: skipped level as identity.  ``Package.kron_matrices`` is NOT
-        #: gap-aware, which is why the flag is opt-in.
-        self.identity_edges = identity_edges
         #: iterative-kernel dense blocks: once a state's per-gate DD work
         #: (measured in memo lookups) exceeds the cost of touching every
         #: amplitude, ``apply_gate`` hands the state to a numpy amplitude
@@ -327,12 +319,6 @@ class Package:
         norm, children = self._normalise(list(edges))
         if norm == 0:
             return self.zero
-        if (self.identity_edges and children[1].weight == 0
-                and children[2].weight == 0 and children[0] == children[3]):
-            # Identity-skipping edge (arXiv:2406.11959): (e, 0, 0, e) is
-            # I (x) e -- do not materialise the node, return ``e`` itself
-            # and let the level gap denote the skipped identity levels.
-            return self._scaled(children[0], norm)
         table = self.tables.matrices
         node = table.get_or_insert(level, children)
         if table.created:
@@ -437,30 +423,7 @@ class Package:
         if entry is not None and entry[0] == key:
             cache.hits += 1
             return self._scaled(entry[1], x.weight)
-        lx = x.node.level
-        ly = y.node.level
-        if lx != ly:
-            # Identity-skipping matrix DDs: operand levels may differ; the
-            # lower operand contributes virtual (e, 0, 0, e) quadrants at
-            # every skipped level, so only the diagonal quadrants of the
-            # higher operand see it.
-            if lx > ly:
-                hn, hw = x.node, self.one.weight
-                lo = Edge(y.node, ratio)
-            else:
-                hn, hw = y.node, ratio
-                lo = Edge(x.node, self.one.weight)
-            he = hn.edges
-            add = self._add
-            scaled = self._scaled
-            children = (
-                add(scaled(he[0], hw), lo, cache, make_node, 4),
-                scaled(he[1], hw),
-                scaled(he[2], hw),
-                add(scaled(he[3], hw), lo, cache, make_node, 4),
-            )
-            cached = make_node(hn.level, children)
-        elif lx == -1:
+        if x.node.level == -1:
             cached = self.terminal_edge(1 + ratio)
         else:
             xs = x.node.edges
@@ -516,35 +479,25 @@ class Package:
         if type(v) is FlatEdge:
             if m.weight == 0 or v.weight == 0:
                 return FlatEdge(self.flat, 0, 0j)
-            mlevel = m.node.level
-            vlevel = v.level
-            if mlevel != vlevel and not (self.identity_edges
-                                         and mlevel < vlevel):
-                raise ValueError(
-                    f"matrix level {mlevel} != vector level {vlevel}; "
-                    "operands must cover the same qubits")
+            self._check_levels(m.node.level, v.level)
             return self.flat.mult_mv(m, v)
         w = m.weight * v.weight
         if w == 0:
             return self.zero
-        mlevel = m.node.level
-        vlevel = v.node.level
-        if mlevel != vlevel and not (self.identity_edges
-                                     and mlevel < vlevel):
-            # With identity-skipping edges a matrix root below the state
-            # root is legal: the skipped top levels act as identity.
-            raise ValueError(
-                f"matrix level {mlevel} != vector level {vlevel}; "
-                "operands must cover the same qubits")
+        self._check_levels(m.node.level, v.node.level)
         result = self._mult_mv(m.node, v.node)
         return self._scaled(result, w)
 
+    @staticmethod
+    def _check_levels(mlevel: int, vlevel: int) -> None:
+        if mlevel != vlevel:
+            raise ValueError(
+                f"matrix level {mlevel} != vector level {vlevel}; "
+                "operands must cover the same qubits")
+
     def _mult_mv(self, mn, vn) -> Edge:
         if mn.level == -1:
-            # Scalar matrix: either both operands are terminal, or (with
-            # identity-skipping edges) the matrix is identity on every
-            # remaining level -- the product is the vector itself.
-            return self.one if vn.level == -1 else Edge(vn, self.one.weight)
+            return self.one
         self.counters.mult_mv_recursions += 1
         if id(mn) in self._mult_identity_ids:
             # I * v = v: identity padding resolves in this one call instead
@@ -555,20 +508,6 @@ class Package:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        if mn.level < vn.level:
-            # Identity-skipped levels: the matrix acts as I here, so the
-            # product is a structural copy one level down.
-            children = []
-            for vchild in vn.edges:
-                if vchild.weight == 0:
-                    children.append(self.zero)
-                else:
-                    children.append(self._scaled(
-                        self._mult_mv(mn, vchild.node), vchild.weight))
-            result = self.make_vector_node(vn.level,
-                                           (children[0], children[1]))
-            cache.put(key, result)
-            return result
         level = mn.level
         me = mn.edges
         ve = vn.edges
@@ -599,7 +538,7 @@ class Package:
         w = a.weight * b.weight
         if w == 0:
             return self.zero
-        if a.node.level != b.node.level and not self.identity_edges:
+        if a.node.level != b.node.level:
             raise ValueError(
                 f"matrix levels differ ({a.node.level} vs {b.node.level}); "
                 "operands must cover the same qubits")
@@ -608,11 +547,7 @@ class Package:
 
     def _mult_mm(self, an, bn) -> Edge:
         if an.level == -1:
-            # Scalar (or, with identity-skipping edges, identity-extended)
-            # left operand: the product is the right operand itself.
-            return self.one if bn.level == -1 else Edge(bn, self.one.weight)
-        if bn.level == -1:
-            return Edge(an, self.one.weight)
+            return self.one
         self.counters.mult_mm_recursions += 1
         identity_ids = self._mult_identity_ids
         if id(an) in identity_ids:
@@ -627,27 +562,6 @@ class Package:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        if an.level != bn.level:
-            # Identity-skipping edges: the lower operand is identity on
-            # the levels it skips, so it multiplies straight into each
-            # quadrant of the higher operand (block-diagonal product).
-            if an.level > bn.level:
-                hn, other, a_side = an, bn, True
-            else:
-                hn, other, a_side = bn, an, False
-            children = []
-            for hchild in hn.edges:
-                if hchild.weight == 0:
-                    children.append(self.zero)
-                else:
-                    sub = self._mult_mm(hchild.node, other) if a_side \
-                        else self._mult_mm(other, hchild.node)
-                    children.append(self._scaled(sub, hchild.weight))
-            result = self.make_matrix_node(
-                hn.level,
-                (children[0], children[1], children[2], children[3]))
-            cache.put(key, result)
-            return result
         level = an.level
         ae = an.edges
         be = bn.edges
@@ -689,12 +603,14 @@ class Package:
         multiplication, the *state* DD is recursed directly.  Levels above
         the target are structural copies (or control splits), the 2x2 gate
         is applied once at the target level, and levels below are only
-        touched when a control sits there.  Results are identical to
+        touched when a control sits there.  Results agree with
         ``multiply_matrix_vector(build_gate_dd(...), v)`` up to the complex
-        table's tolerance, and node for node: every weight handed to the
-        node constructor is a complex-table representative, so the two
-        paths share nodes alike (``tests/dd/test_apply_gate.py`` compares
-        their node counts after every gate of long Grover runs).
+        table's tolerance.  Every weight handed to the node constructor is
+        a complex-table representative, so node counts agree too on the
+        runs ``tests/dd/test_apply_gate.py`` checks after every gate (two
+        Grover-10 runs), but not without bound: on Grover-17 the object
+        core first differs at op 95 (38 against 36 nodes), where the flat
+        kernel still matches.
 
         Parameters
         ----------
@@ -1169,29 +1085,17 @@ class Package:
         count = root.size
         if count:
             return count
+        # One level at a time: zero stubs point at the terminal and every
+        # non-zero child sits exactly one level down (both audited by
+        # check_invariants), so each frontier is exactly the set of nodes
+        # on one level; a set comprehension per level beats a per-child
+        # Python walk.
         frontier = {root}
-        if self.identity_edges and type(root) is MatrixNode:
-            # Identity-skipping edges leave level gaps, so one node can
-            # sit at two depths below the root: dedupe across levels.
-            seen: set = set()
-            while frontier:
-                seen |= frontier
-                frontier = {child.node for node in frontier
-                            for child in node.edges}
-                frontier.discard(TERMINAL)
-                frontier -= seen
-            count = len(seen)
-        else:
-            # One level at a time: zero stubs point at the terminal and
-            # every non-zero child sits exactly one level down (both
-            # audited by check_invariants), so each frontier is exactly
-            # the set of nodes on one level; a set comprehension per
-            # level beats a per-child Python walk.
-            while frontier:
-                count += len(frontier)
-                frontier = {child.node for node in frontier
-                            for child in node.edges}
-                frontier.discard(TERMINAL)
+        while frontier:
+            count += len(frontier)
+            frontier = {child.node for node in frontier
+                        for child in node.edges}
+            frontier.discard(TERMINAL)
         root.size = count
         return count
 
@@ -1427,12 +1331,7 @@ class Package:
                             return violations
                     expected = node.level - 1
                     child_level = child.node.level
-                    # Identity-skipping edges make level *gaps* legal in
-                    # matrix DDs (the skipped levels act as identity);
-                    # children above their parent stay corrupt.
-                    gap_ok = (self.identity_edges and species == "matrix"
-                              and -1 <= child_level < expected)
-                    if child_level != expected and not gap_ok:
+                    if child_level != expected:
                         if note(f"{where}: level ordering broken -- child "
                                 f"at level {child_level}, expected "
                                 f"{expected}"):

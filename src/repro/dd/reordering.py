@@ -23,14 +23,10 @@ afterwards must apply the same permutation to their circuits (see
 Level gaps
 ----------
 
-Vector DDs are quasi-reduced without exceptions: every non-zero edge of a
-level-``z`` node points to a node at level ``z - 1``.  A vector edge that
-skips a level is corrupt, and every function here raises a clear
-:class:`ValueError` instead of silently building a wrong diagram.  Matrix
-DDs built with ``Package(identity_edges=True)`` legitimately skip levels --
-a skipped level reads as an identity factor -- and the swap machinery
-expands those virtual identity levels on the fly (``size=`` tells it how
-tall the diagram nominally is when the root itself sits below the top).
+Vector and matrix DDs are quasi-reduced without exceptions: every
+non-zero edge of a level-``z`` node points to a node at level ``z - 1``.
+An edge that skips a level is corrupt, and every function here raises a
+clear :class:`ValueError` instead of silently building a wrong diagram.
 """
 
 from __future__ import annotations
@@ -51,21 +47,17 @@ def _is_matrix(edge: Edge) -> bool:
 
 def _gap_error(at_level: int, node_level: int) -> ValueError:
     return ValueError(
-        f"vector DD skips level {at_level}: expected a node at level "
+        f"DD skips level {at_level}: expected a node at level "
         f"{at_level}, found one at level {node_level}; quasi-reduced "
-        f"state DDs must not have level gaps (identity-edge gaps exist "
-        f"only on matrix DDs)")
+        f"DDs must not have level gaps")
 
 
 def _virtual_children(package: Package, edge: Edge, arity: int,
                       at_level: int) -> list[Edge]:
     """Children of ``edge`` viewed as a node at ``at_level``.
 
-    0-stubs read as all-zero nodes.  A matrix edge whose node sits *below*
-    ``at_level`` is an identity-edge gap (``Package(identity_edges=True)``):
-    the skipped level is an identity factor, so its virtual children are
-    ``(edge, 0, 0, edge)``.  A vector edge below ``at_level`` is corrupt
-    and raises.
+    0-stubs read as all-zero nodes; an edge whose node sits below
+    ``at_level`` is corrupt and raises.
     """
     if edge.weight == 0:
         return [package.zero] * arity
@@ -76,8 +68,6 @@ def _virtual_children(package: Package, edge: Edge, arity: int,
         raise ValueError(
             f"malformed DD: node at level {node_level} reached while "
             f"expecting level <= {at_level}")
-    if arity == 4:
-        return [edge, package.zero, package.zero, edge]
     raise _gap_error(at_level, node_level)
 
 
@@ -117,13 +107,10 @@ def swap_adjacent_levels(package: Package, edge: Edge, level: int,
     index trade places.
 
     ``size`` is the nominal qubit count; it defaults to the root level
-    plus one.  Passing it explicitly permits swaps on identity-edge matrix
-    DDs whose root sits below the top level (the skipped levels read as
-    identity factors, which the swap expands on demand).  A *vector* DD
-    with any level gap -- including a root below ``size - 1`` -- raises
-    :class:`ValueError`: states are quasi-reduced without gaps, so a gap
-    means corruption, and silently treating it as identity would build a
-    wrong diagram.
+    plus one.  A DD with any level gap -- including a root below
+    ``size - 1`` -- raises :class:`ValueError`: DDs are quasi-reduced
+    without gaps, so a gap means corruption, and silently treating it as
+    identity would build a wrong diagram.
     """
     if edge.weight == 0:
         return edge
@@ -132,28 +119,18 @@ def swap_adjacent_levels(package: Package, edge: Edge, level: int,
     if level < 0 or level + 1 > top:
         raise ValueError(f"cannot swap levels {level}/{level + 1} in a DD "
                          f"of height {top + 1} (root at level {root_level})")
-    if root_level < 0:
-        # A non-zero terminal-rooted edge of nominal size > 0 can only be a
-        # fully collapsed identity matrix (identity_edges); swapping two
-        # identity levels is a no-op.
-        return edge
-    matrix = _is_matrix(edge)
-    if not matrix and root_level < top:
+    if root_level < top:
         raise _gap_error(top, root_level)
+    matrix = _is_matrix(edge)
     if root_level > level + 1:
         return package._scaled(
             _swap_above(package, edge.node, level, matrix, {}), edge.weight)
-    if root_level == level + 1 or (matrix and root_level == level):
-        return package._scaled(_swap_under(package, edge.node, level, matrix),
-                               edge.weight)
-    # matrix root entirely below the swap window: both swapped levels are
-    # identity factors -- nothing to do
-    return edge
+    return package._scaled(_swap_under(package, edge.node, level, matrix),
+                           edge.weight)
 
 
 def _swap_under(package: Package, node, level: int, matrix: bool) -> Edge:
-    """Swap the window under a node at ``level + 1`` (or, for matrix gaps,
-    a node at ``level`` viewed one level up)."""
+    """Swap the window under a node at ``level + 1``."""
     swap_block = _swap_matrix_block if matrix else _swap_vector_block
     return swap_block(package, Edge(node, 1 + 0j), level)
 
@@ -178,14 +155,10 @@ def _swap_above(package: Package, node, level: int, matrix: bool,
             children.append(package._scaled(
                 _swap_above(package, child.node, level, matrix, cache),
                 child.weight))
-        elif child_level == level + 1 or (matrix and child_level == level):
+        elif child_level == level + 1:
             children.append(package._scaled(
                 _swap_under(package, child.node, level, matrix),
                 child.weight))
-        elif matrix:
-            # The identity gap spans both swapped levels; identity is
-            # symmetric under the swap, so the sub-DD is unchanged.
-            children.append(child)
         else:
             raise _gap_error(node.level - 1, child_level)
     make_node = package.make_matrix_node if matrix \
@@ -219,11 +192,8 @@ def permute_qubits(package: Package, edge: Edge,
     ``permutation`` must be a permutation of ``0 .. size - 1`` (``size``
     defaults to the root level plus one).  The returned DD satisfies
     ``amplitude(new, apply_index_permutation(x, p)) == amplitude(old, x)``
-    (and the matrix analogue for both indices).
-
-    Passing ``size`` explicitly supports identity-edge matrix DDs whose
-    root sits below ``size - 1``; vector DDs must be exactly ``size``
-    levels tall (see :func:`swap_adjacent_levels`).
+    (and the matrix analogue for both indices).  The DD must be exactly
+    ``size`` levels tall (see :func:`swap_adjacent_levels`).
     """
     if edge.weight == 0:
         return edge
@@ -234,12 +204,10 @@ def permute_qubits(package: Package, edge: Edge,
     if sorted(permutation) != list(range(size)):
         raise ValueError(f"not a permutation of 0..{size - 1}: "
                          f"{permutation}")
-    if root_level < 0:
-        return edge  # collapsed identity matrix: permutation-invariant
     if root_level + 1 > size:
         raise ValueError(f"DD rooted at level {root_level} is taller than "
                          f"the declared size {size}")
-    if not _is_matrix(edge) and root_level + 1 != size:
+    if root_level + 1 != size:
         raise _gap_error(size - 1, root_level)
     # positions[level] = original variable currently living at `level`
     positions = list(range(size))
@@ -286,7 +254,7 @@ def sift(package: Package, edge: Edge, max_growth: float = 2.0,
     if edge.node.level + 1 > size:
         raise ValueError(f"DD rooted at level {edge.node.level} is taller "
                          f"than the declared num_qubits {size}")
-    if not _is_matrix(edge) and edge.node.level + 1 != size:
+    if edge.node.level + 1 != size:
         raise _gap_error(size - 1, edge.node.level)
     current = edge
     positions = list(range(size))  # positions[level] = original variable

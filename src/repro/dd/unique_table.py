@@ -93,10 +93,6 @@ class UniqueTable:
         """
         return self._key(node.level, node.edges)
 
-    def count_dead(self, live: set[int]) -> int:
-        """How many interned nodes are *not* in ``live`` (no mutation)."""
-        return sum(1 for node in self._table.values() if id(node) not in live)
-
     def remove_unreferenced(self, live: set[int]) -> int:
         """Drop all nodes whose ``id`` is not in ``live``; return count removed."""
         table = self._table

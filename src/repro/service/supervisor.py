@@ -103,19 +103,17 @@ def run_job_attempt(store: JobStore, job_id: str, attempt: int) -> int:
     try:
         injector.at_start()
         circuit = from_qasm(spec.qasm)
-        package_kwargs = {}
-        if spec.kernel is not None:
-            package_kwargs["kernel"] = spec.kernel
-        if not spec.use_local_apply:
-            package_kwargs["identity_shortcut"] = False
-        package = Package(**package_kwargs) if package_kwargs else None
+        kernel = spec.kernel or "recursive"
         governor = None
         if spec.max_nodes is not None or spec.gc_limit is not None:
             governor = MemoryGovernor(node_limit=spec.gc_limit or 500_000,
                                       max_nodes=spec.max_nodes)
-        engine = SimulationEngine(package=package,
-                                  use_local_apply=spec.use_local_apply,
-                                  governor=governor)
+        if spec.use_local_apply:
+            engine = SimulationEngine(package=Package(kernel=kernel),
+                                      governor=governor)
+        else:
+            engine = SimulationEngine.paper_literal(governor=governor,
+                                                    kernel=kernel)
         # heartbeat first: a latency fault's sleep then runs *after* the
         # touch, so the heartbeat goes stale mid-sleep and the lease
         # expires -- exactly the slow-worker scenario being modelled

@@ -318,6 +318,20 @@ class SimulationEngine:
         # dataclass on every application is measurably slower.
         self._local_gate_cache: dict[int, tuple] = {}
 
+    @classmethod
+    def paper_literal(cls, governor: MemoryGovernor | None = None,
+                      kernel: str = "recursive") -> "SimulationEngine":
+        """An engine on the paper's cost model.
+
+        Every gate becomes an explicit gate DD and one matrix-vector
+        multiplication (no local-gate fast path), and multiplications
+        recurse through identity padding like any other sub-matrix
+        (``Package(identity_shortcut=False)``), so the machine-independent
+        recursion counts are the ones the paper's figures count.
+        """
+        return cls(package=Package(identity_shortcut=False, kernel=kernel),
+                   use_local_apply=False, governor=governor)
+
     # ------------------------------------------------------------------
 
     def gate_dd(self, operation: Operation, num_qubits: int) -> Edge:
@@ -481,7 +495,8 @@ class SimulationEngine:
         if checkpoint.complex_table:
             self.package.complex_table.load_state_dict(
                 checkpoint.complex_table)
-        state = deserialize_dd(self.package, checkpoint.state)
+        state = self._to_state_store(
+            deserialize_dd(self.package, checkpoint.state))
         pending = deserialize_dd(self.package, checkpoint.pending) \
             if checkpoint.pending is not None else None
         base = SimulationStatistics.from_dict(checkpoint.statistics)
@@ -859,18 +874,27 @@ class SimulationEngine:
         return live
 
     def _materialize(self, edge):
-        """A recursive-path :class:`Edge` for any state representation.
+        """An object-node :class:`Edge` for any state representation.
 
-        Reordering walks the object node graph, so dense blocks are
-        solidified and flat iterative edges materialised into plain edges
-        first; the run then continues on the recursive path (correct, just
-        slower) under the new order -- the same choice the degradation
-        ladder's pruning rung makes.
+        Sifting, permuting and pruning walk the object node graph, so
+        dense blocks are solidified and flat iterative edges materialised
+        into plain edges first; :meth:`_to_state_store` puts a rebuilt
+        state back where the kernel simulates.
         """
         edge = self.package.solidify(edge)
         if type(edge) is FlatEdge:
             edge = Edge(edge.node, edge.weight)
         return edge
+
+    def _to_state_store(self, edge: Edge):
+        """``edge`` on the store the package's kernel simulates on.
+
+        Deserialising, sifting and pruning build object DDs; the iterative
+        kernel copies them into its flat store, so the rest of the run
+        keeps simulating there instead of on the recursive core.
+        """
+        flat = self.package.flat
+        return edge if flat is None else flat.import_vector(edge)
 
     def _permute_matrix(self, run: _Run, edge: Edge | None,
                         permutation: list[int]) -> Edge | None:
@@ -884,12 +908,12 @@ class SimulationEngine:
     def _reorder(self, run: _Run, reason: str) -> int:
         """Sift the state DD and rebase the run onto the new order.
 
-        The mechanics, in order: the state is materialised onto the
-        recursive path (sifting walks object nodes), sifted, and every
-        other in-flight DD -- the pending accumulated product, a product
-        pinned mid-:meth:`_Run.combine` -- is permuted to match.  The
-        run's cumulative permutation is composed with the step
-        permutation, the remap and gate caches are dropped (they are
+        The mechanics, in order: the state is materialised as object
+        nodes (sifting walks them), sifted and put back on the kernel's
+        store, and every other in-flight DD -- the pending accumulated
+        product, a product pinned mid-:meth:`_Run.combine` -- is permuted
+        to match.  The run's cumulative permutation is composed with the
+        step permutation, the remap and gate caches are dropped (they are
         keyed on the *old* levels and would otherwise pin old-order DDs),
         the strategy's :meth:`~repro.simulation.strategies
         .SimulationStrategy.on_reorder` hook re-adopts the permuted
@@ -898,18 +922,18 @@ class SimulationEngine:
         """
         policy = run.reorder
         package = self.package
-        run.state = self._materialize(run.state)
-        nodes_before = package.count_nodes(run.state)
+        state = self._materialize(run.state)
+        nodes_before = package.count_nodes(state)
         ops_done = run.statistics.operations_applied
         if nodes_before < policy.min_nodes:
             # Too small to be worth the bookkeeping; still note the
             # attempt so the cadence/cooldown clock advances.
             policy.note_sift(ops_done, nodes_before, nodes_before)
             return package.live_node_count()
-        run.state, step = sift(package, run.state,
-                               max_growth=policy.max_growth,
-                               num_qubits=run.num_qubits)
-        nodes_after = package.count_nodes(run.state)
+        state, step = sift(package, state, max_growth=policy.max_growth,
+                           num_qubits=run.num_qubits)
+        nodes_after = package.count_nodes(state)
+        run.state = self._to_state_store(state)
         policy.note_sift(ops_done, nodes_before, nodes_after)
         identity_step = step == list(range(run.num_qubits))
         if not identity_step:
@@ -1003,21 +1027,16 @@ class SimulationEngine:
         state_nodes = package.count_nodes(run.state)
         target = max(1, int(budget * policy.prune_target_fraction))
         if state_nodes > target and policy.allows_prune():
-            run.state = package.solidify(run.state)
-            if type(run.state) is FlatEdge:
-                # Pruning operates on object DDs; materialise the flat
-                # state (the run continues on the recursive path, which
-                # is correct -- just slower -- for the degraded remainder).
-                run.state = Edge(run.state.node, run.state.weight)
             # The per-call floor is the global floor divided by what the
             # previous prunes already spent.
             floor = min(1.0, policy.fidelity_floor / policy.cumulative_fidelity)
             result = prune_to_node_budget(
-                package, run.state, target, min_fidelity=floor,
+                package, self._materialize(run.state), target,
+                min_fidelity=floor,
                 initial_budget=policy.prune_initial_budget,
                 growth=policy.prune_growth)
             if result.edges_cut > 0:
-                run.state = result.state
+                run.state = self._to_state_store(result.state)
                 live = self._collect(run)
                 self._record_degradation(run, {
                     "action": "prune",

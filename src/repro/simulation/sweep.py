@@ -297,16 +297,13 @@ def _simulate_task(task: SweepTask,
                                             seed=task.metadata.get("seed", 7))
     if task.kind == "qasm":
         from ..circuit.qasm import from_qasm
-        from ..dd.package import Package
         from .engine import SimulationEngine
         circuit = from_qasm(task.qasm)
         governor = _governor_for(task)
         if task.use_local_apply:
             engine = SimulationEngine(governor=governor)
         else:
-            engine = SimulationEngine(package=Package(identity_shortcut=False),
-                                      use_local_apply=False,
-                                      governor=governor)
+            engine = SimulationEngine.paper_literal(governor=governor)
         result = engine.simulate(circuit, strategy_from_spec(task.strategy),
                                  reorder=task.reorder, on_op=on_op)
         return result.statistics

@@ -45,8 +45,6 @@ def coverage_signature(plan: RunPlan, outcome: PlanOutcome) -> frozenset:
         f"strategy:{plan.strategy.split(':')[0].split('=')[0]}",
         f"reorder-mode:{(plan.reorder or 'off').split('=')[0]}",
     }
-    if plan.identity_edges:
-        buckets.add("identity-edges")
     if not plan.dense_blocks:
         buckets.add("dense-blocks-off")
     if outcome.budget_aborted:

@@ -390,9 +390,9 @@ def run_plans(config: FuzzConfig, budget_seconds: float | None = None,
               max_cases: int | None = None) -> FuzzReport:
     """Fuzz the option surface: random cases under random run plans.
 
-    Every drawn case executes its plan -- kernel choice, identity edges,
-    dense cutover, accumulation strategy, mid-run reordering, node
-    budgets, checkpoint-interrupt-resume -- on a fresh engine and must
+    Every drawn case executes its plan -- kernel choice, dense cutover,
+    accumulation strategy, mid-run reordering, node budgets,
+    checkpoint-interrupt-resume -- on a fresh engine and must
     reproduce the dense statevector oracle at the fidelity floor.
     Budget-aborted runs count as skips.  Failures are minimized down to
     gates *and* plan options before they are reported.

@@ -136,14 +136,11 @@ def _mutate_block(case: FuzzCase, rng: Random) -> FuzzCase:
 
 def _mutate_plan(case: FuzzCase, rng: Random) -> FuzzCase:
     payload = case.plan.as_dict()
-    field = rng.choice(("kernel", "identity_edges", "dense_blocks",
-                        "strategy", "reorder", "max_nodes",
-                        "checkpoint_at"))
+    field = rng.choice(("kernel", "dense_blocks", "strategy", "reorder",
+                        "max_nodes", "checkpoint_at"))
     if field == "kernel":
         payload["kernel"] = "iterative" \
             if payload["kernel"] == "recursive" else "recursive"
-    elif field == "identity_edges":
-        payload["identity_edges"] = not payload["identity_edges"]
     elif field == "dense_blocks":
         payload["dense_blocks"] = not payload["dense_blocks"]
     elif field == "strategy":

@@ -10,7 +10,6 @@ of those options (the "option-plan grammar" in docs/architecture.md):
 field              meaning
 =================  =====================================================
 ``kernel``         ``recursive`` | ``iterative`` (flat-array worklist)
-``identity_edges`` identity-skipping matrix edges (level-gapped DDs)
 ``dense_blocks``   iterative-kernel dense cutover allowed
 ``strategy``       any :func:`strategy_from_spec` string (``k=4``, ...)
 ``reorder``        ``None`` | ``governor`` | ``every=K`` mid-run sifting
@@ -67,7 +66,6 @@ class RunPlan:
     """One run-option schedule; every default is the engine's plain path."""
 
     kernel: str = "recursive"
-    identity_edges: bool = False
     dense_blocks: bool = True
     strategy: str = "sequential"
     reorder: str | None = None
@@ -170,7 +168,6 @@ def draw_plan(rng: Random, block: bool = False) -> RunPlan:
         reorder = "governor"
     return RunPlan(
         kernel=kernel,
-        identity_edges=rng.random() < 0.25,
         dense_blocks=dense_blocks,
         strategy=strategy,
         reorder=reorder,
@@ -219,9 +216,7 @@ def _reorder_policy(spec: str) -> ReorderPolicy:
 
 def _make_engine(plan: RunPlan,
                  engine_cls: type[SimulationEngine]) -> SimulationEngine:
-    package = Package(kernel=plan.kernel,
-                      identity_edges=plan.identity_edges,
-                      dense_blocks=plan.dense_blocks)
+    package = Package(kernel=plan.kernel, dense_blocks=plan.dense_blocks)
     if plan.max_nodes is not None:
         governor = MemoryGovernor(node_limit=max(8, plan.max_nodes // 2),
                                   max_nodes=plan.max_nodes)

@@ -83,9 +83,8 @@ def _nodes_close(x, y, slack: float, close: set[tuple[int, int]]) -> bool:
     """Whether nodes ``x`` and ``y`` agree child weight by child weight to
     within ``slack``; ``close`` memoises the pairs already found to agree.
 
-    A level gap (identity-skipping edges) on one side only counts as a
-    difference.  Module level, with the memo as an argument: a
-    self-calling closure would sit in a reference cycle.
+    Module level, with the memo as an argument: a self-calling closure
+    would sit in a reference cycle.
     """
     if x is y:
         return True

@@ -128,16 +128,10 @@ class TestSimulation:
         # DDs, one MxV per gate, identity padding traversed.  Pin paper
         # mode -- the default engine's local-apply fast path deliberately
         # sidesteps that cost model.
-        from repro.dd.package import Package
         instance = supremacy_circuit(3, 3, 10, seed=1)
-
-        def paper_engine():
-            return SimulationEngine(package=Package(identity_shortcut=False),
-                                    use_local_apply=False)
-
-        sequential = paper_engine().simulate(
+        sequential = SimulationEngine.paper_literal().simulate(
             instance.circuit, SequentialStrategy()).statistics
-        combined = paper_engine().simulate(
+        combined = SimulationEngine.paper_literal().simulate(
             instance.circuit, KOperationsStrategy(8)).statistics
         assert combined.counters.total_recursions() \
             < sequential.counters.total_recursions()

@@ -26,6 +26,22 @@ def package() -> Package:
     return Package()
 
 
+@pytest.fixture
+def recursive_apply_calls(monkeypatch) -> list[int]:
+    """The level of every ``Package._apply_gate_rec`` call made during the
+    test: the object-node local-gate core, which an iterative-kernel run
+    never needs."""
+    calls: list[int] = []
+    original = Package._apply_gate_rec
+
+    def recording(self, vn, *args):
+        calls.append(vn.level)
+        return original(self, vn, *args)
+
+    monkeypatch.setattr(Package, "_apply_gate_rec", recording)
+    return calls
+
+
 # ----------------------------------------------------------------------
 # hypothesis strategies
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ random (multi-)controlled single-qubit unitaries, per the acceptance
 criterion in this PR's issue.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -57,19 +59,32 @@ class TestAgainstMatrixPathway:
             # both pathways stay normalised
             assert package.squared_norm(fast) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("marked", [513, 535])
-    def test_node_counts_match_after_every_op(self, marked):
+    @pytest.mark.parametrize("n,marked,options,ops", [
+        pytest.param(10, 513, {}, None, id="513"),
+        pytest.param(10, 535, {}, None, id="535"),
+        pytest.param(17, 2 ** 17 - 3,
+                     {"kernel": "iterative", "dense_blocks": False}, 130,
+                     id="grover17-iterative"),
+        pytest.param(17, 2 ** 17 - 3, {}, 130, id="grover17-recursive",
+                     marks=pytest.mark.xfail(
+                         strict=True, raises=AssertionError,
+                         reason="ROADMAP item 1(a): the recursive local "
+                                "path first differs at op 95 (h on qubit "
+                                "3: 38 against 36 nodes)")),
+    ])
+    def test_node_counts_match_after_every_op(self, n, marked, options,
+                                              ops):
         """Node for node, not just up to fidelity.  Raw weight products
         in the structural copy drift the complex table's representatives
         until shared nodes split: on these Grover-10 instances the counts
         then first differ at op 1111 and 893 of ~1400.  Short random
-        circuits never run long enough to show it."""
-        n = 10
-        fast_pkg, matrix_pkg = Package(), Package()
+        circuits never run long enough to show it.  Grover-17 runs its
+        first ``ops`` operations on both kernels."""
+        fast_pkg, matrix_pkg = Package(**options), Package()
         fast = fast_pkg.basis_state(n, 0)
         matrix = matrix_pkg.basis_state(n, 0)
-        for index, op in enumerate(grover_circuit(n, marked)
-                                   .circuit.operations()):
+        operations = grover_circuit(n, marked).circuit.operations()
+        for index, op in enumerate(islice(operations, ops)):
             u, controls = op.matrix(), op.control_map()
             fast = fast_pkg.apply_gate(fast, u, op.target, controls)
             matrix = _matrix_path(matrix_pkg, matrix, u, n, op.target,

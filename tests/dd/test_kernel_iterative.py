@@ -4,9 +4,9 @@ The flat-array kernel is the tentpole of the vectorised-kernel PR: it must
 be bit-for-bit interchangeable (up to the complex table's tolerance) with
 the recursive per-node core it shadows.  These tests pin the pieces the
 differential suite cannot see in isolation: the fused sign-canonical add
-memo, store compaction with in-place root remapping, identity-skipping
-matrix mirrors, the dense-block escape hatch, and the cache-statistics
-surface perfbench reads.
+memo, store compaction with in-place root remapping, the matrix mirror,
+the dense-block escape hatch, and the cache-statistics surface perfbench
+reads.
 """
 
 import warnings
@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.dd import (Package, build_gate_dd, matrix_to_numpy,
-                      vector_from_numpy, vector_to_numpy)
+from repro.dd import (Package, build_gate_dd, vector_from_numpy,
+                      vector_to_numpy)
 from repro.dd.kernel import DenseState, FlatEdge
 
 H = ((2 ** -0.5, 2 ** -0.5), (2 ** -0.5, -(2 ** -0.5)))
@@ -203,52 +203,6 @@ class TestCompaction:
         again = package.multiply_matrix_vector(
             build_gate_dd(package, H, 4, 1), state)
         assert again.weight != 0
-
-
-class TestIdentityEdges:
-    """Identity-skipping matrix DDs: collapse, multiplication, audit."""
-
-    def test_gate_dd_collapses_identity_levels(self):
-        package = Package(kernel="iterative", identity_edges=True)
-        gate = build_gate_dd(package, H, num_qubits=6, target=0)
-        # levels 5..1 are identity factors; with skipping edges the root
-        # sits directly at the target level
-        assert gate.node.level == 0
-
-    def test_matrix_to_numpy_expands_gaps(self):
-        package = Package(kernel="iterative", identity_edges=True)
-        gate = build_gate_dd(package, H, num_qubits=4, target=1,
-                             controls={3: 1})
-        dense = matrix_to_numpy(gate, 4)
-        reference = Package()
-        expected = matrix_to_numpy(
-            build_gate_dd(reference, H, 4, 1, {3: 1}), 4)
-        np.testing.assert_allclose(dense, expected, atol=1e-12)
-
-    def test_mult_through_gaps_matches_plain(self):
-        rng = np.random.default_rng(41)
-        amps = random_amplitudes(rng, 5)
-        plain = Package()
-        expected = vector_to_numpy(
-            plain.multiply_matrix_vector(
-                build_gate_dd(plain, H, 5, 2, {0: 1}),
-                vector_from_numpy(plain, amps)), 5)
-        package = Package(kernel="iterative", identity_edges=True)
-        result = package.multiply_matrix_vector(
-            build_gate_dd(package, H, 5, 2, {0: 1}),
-            import_state(package, amps))
-        np.testing.assert_allclose(flat_to_numpy(package, result, 5),
-                                   expected, atol=1e-10)
-
-    def test_identity_edge_dds_audit_clean(self):
-        rng = np.random.default_rng(43)
-        package = Package(kernel="iterative", identity_edges=True)
-        state = import_state(package, random_amplitudes(rng, 5))
-        for target in range(5):
-            state = package.multiply_matrix_vector(
-                build_gate_dd(package, H, 5, target), state)
-        assert package.check_invariants([state]) == []
-        assert package.flat.check_invariants() == []
 
 
 class TestDenseBlocks:
@@ -530,7 +484,7 @@ class TestAddVecHitRateOnGrover:
     def test_grover_10_add_vec_hit_rate(self):
         from repro.algorithms.grover import grover_circuit
         from repro.simulation import SequentialStrategy, SimulationEngine
-        package = Package(kernel="iterative", identity_edges=True)
+        package = Package(kernel="iterative")
         engine = SimulationEngine(package=package, use_local_apply=True)
         engine.simulate(grover_circuit(10, 311).circuit,
                         SequentialStrategy())

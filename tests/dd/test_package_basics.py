@@ -206,7 +206,6 @@ class TestCountNodes:
 
     @pytest.mark.parametrize("options", [
         pytest.param({}, id="False"),
-        pytest.param({"identity_edges": True}, id="True"),
         # flat states: FlatKernel.count_nodes, checked against the
         # materialised object nodes
         pytest.param({"kernel": "iterative", "dense_blocks": False},
@@ -306,27 +305,6 @@ class TestCountNodes:
         assert (copy.node is state.node) is not fresh
         for _ in range(2):
             assert target.count_nodes(copy) == count == reference_count(copy)
-
-    def test_identity_edge_product_with_a_node_at_two_depths(self):
-        """A level gap lets one node sit one and two levels below the
-        root; counting it once per depth would report 4 nodes, not 3."""
-        package = Package(identity_edges=True)
-
-        def gate_dd(controls):
-            op = Operation("x", 0, controls)
-            return build_gate_dd(package, op.matrix(), 3, 0,
-                                 op.control_map())
-
-        # q2 = 1: X on q0 (I (x) X, identity level skipped);
-        # q2 = 0: CX(q1 -> q0)
-        product = package.multiply_matrix_matrix(
-            gate_dd(((2, 1),)), gate_dd(((1, 1), (2, 0))))
-        root = product.node
-        children = {e.node for e in root.edges if e.weight != 0}
-        grandchildren = {e.node for child in children if child.level >= 0
-                         for e in child.edges if e.weight != 0}
-        assert children & grandchildren  # one node at two depths
-        assert package.count_nodes(product) == reference_count(product) == 3
 
 
 class TestGarbageCollection:

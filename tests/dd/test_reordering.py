@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dd import (Package, build_gate_dd, matrix_from_numpy,
-                      matrix_to_numpy, vector_from_numpy, vector_to_numpy)
+from repro.dd import (Package, matrix_from_numpy, matrix_to_numpy,
+                      vector_from_numpy, vector_to_numpy)
 from repro.dd.edge import Edge
 from repro.dd.node import TERMINAL, VectorNode
 from repro.dd.reordering import (apply_index_permutation, permute_qubits,
@@ -101,9 +101,6 @@ class TestAdjacentSwapMatrix:
         assert swap_adjacent_levels(package, cx_up, 0).node is cx_down.node
 
 
-X_GATE = [[0, 1], [1, 0]]
-
-
 def gapped_vector_edge() -> Edge:
     """A corrupt 3-qubit state DD whose root child skips level 1.
 
@@ -116,63 +113,9 @@ def gapped_vector_edge() -> Edge:
     return Edge(root, 1 + 0j)
 
 
-class TestIdentityEdgeGaps:
-    """Swaps on matrix DDs with identity-edge level gaps.
-
-    ``Package(identity_edges=True)`` builds matrix DDs that skip identity
-    levels; the swap machinery must expand those virtual levels on demand.
-    Vector DDs never legally skip a level, so the same shapes raise there.
-    """
-
-    @pytest.fixture
-    def gap_package(self):
-        return Package(identity_edges=True)
-
-    @pytest.mark.parametrize("level", [0, 1])
-    def test_swap_expands_gap_below_control(self, gap_package, level):
-        # CX(control=2, target=0) on 3 qubits: the root's children skip
-        # level 1, so both swaps cross the identity gap.
-        cx = build_gate_dd(gap_package, X_GATE, 3, 0, {2: 1})
-        assert all(e.node.level < 1 for e in cx.node.edges)  # gap exists
-        orig = matrix_to_numpy(cx, 3)
-        swapped = swap_adjacent_levels(gap_package, cx, level, size=3)
-        dense = matrix_to_numpy(swapped, 3)
-        for row in range(8):
-            for col in range(8):
-                assert dense[swapped_bits(row, level, level + 1),
-                             swapped_bits(col, level, level + 1)] \
-                    == pytest.approx(orig[row, col], abs=1e-9)
-
-    def test_swap_inside_gap_is_noop(self, gap_package):
-        # CX(control=3, target=0) on 4 qubits: levels 1 and 2 are both
-        # skipped; swapping two identity factors changes nothing.
-        cx = build_gate_dd(gap_package, X_GATE, 4, 0, {3: 1})
-        swapped = swap_adjacent_levels(gap_package, cx, 1, size=4)
-        assert swapped.node is cx.node
-        orig = matrix_to_numpy(cx, 4)
-        assert np.allclose(matrix_to_numpy(swapped, 4), orig)
-
-    def test_swap_above_low_root_is_noop(self, gap_package):
-        # Root at level 0, swap window entirely in the identity levels
-        # above it: only size= makes the swap legal at all.
-        h = build_gate_dd(gap_package, [[2 ** -0.5, 2 ** -0.5],
-                                        [2 ** -0.5, -(2 ** -0.5)]], 4, 0,
-                          None)
-        assert h.node.level == 0
-        swapped = swap_adjacent_levels(gap_package, h, 2, size=4)
-        assert swapped.node is h.node
-
-    def test_permute_gapped_matrix_matches_dense(self, gap_package):
-        cx = build_gate_dd(gap_package, X_GATE, 3, 0, {2: 1})
-        perm = [2, 0, 1]
-        permuted = permute_qubits(gap_package, cx, perm, size=3)
-        orig = matrix_to_numpy(cx, 3)
-        dense = matrix_to_numpy(permuted, 3)
-        for row in range(8):
-            for col in range(8):
-                assert dense[apply_index_permutation(row, perm),
-                             apply_index_permutation(col, perm)] \
-                    == pytest.approx(orig[row, col], abs=1e-9)
+class TestLevelGaps:
+    """Vector DDs never legally skip a level: every swap, permutation and
+    sift refuses a gapped state instead of reading the gap as identity."""
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_gapped_vector_swap_rejected(self, package, level):

@@ -11,7 +11,10 @@ about its fidelity.
 
 import pytest
 
+from repro.baseline import simulate_statevector
 from repro.circuit import QuantumCircuit
+from repro.dd import Package
+from repro.dd.kernel import FlatEdge
 from repro.simulation import (DegradationPolicy, MemoryBudgetExceeded,
                               MemoryGovernor, SequentialStrategy,
                               SimulationEngine, load_trace, trace_summary)
@@ -27,8 +30,10 @@ def fringe_circuit(num_qubits: int = 8, layers: int = 3) -> QuantumCircuit:
     return circuit
 
 
-def tight_engine(max_nodes: int = 100) -> SimulationEngine:
+def tight_engine(max_nodes: int = 100,
+                 package: Package | None = None) -> SimulationEngine:
     return SimulationEngine(
+        package=package,
         governor=MemoryGovernor(node_limit=50, max_nodes=max_nodes))
 
 
@@ -65,6 +70,24 @@ class TestDegradationLadder:
         true_fidelity = abs(inner) ** 2
         assert true_fidelity >= 0.9
         assert abs(true_fidelity - policy.cumulative_fidelity) < 0.01
+
+    def test_iterative_run_prunes_and_stays_flat(self,
+                                                 recursive_apply_calls):
+        # pruning rebuilds the state as object nodes; the engine puts it
+        # back on the flat store, so the rest of the run never reaches the
+        # object-node local-gate core
+        circuit = fringe_circuit()
+        policy = DegradationPolicy(fidelity_floor=0.9)
+        package = Package(kernel="iterative", dense_blocks=False)
+        result = tight_engine(package=package).simulate(
+            circuit, SequentialStrategy(), degradation=policy)
+        assert action_kinds(result.statistics).get("prune", 0) > 0
+        assert recursive_apply_calls == []
+        assert type(result.state) is FlatEdge
+        dense = simulate_statevector(circuit)
+        inner = sum(result.amplitude(i).conjugate() * dense[i]
+                    for i in range(len(dense)))
+        assert abs(inner) ** 2 >= 0.9
 
     def test_tight_floor_aborts_instead_of_lying(self):
         """When pruning cannot stay above the floor, the run raises

@@ -17,7 +17,9 @@ import pytest
 
 from repro.algorithms.pairing import (PairingInstance, interleaved_order,
                                       pairing_circuit)
+from repro.algorithms.supremacy import supremacy_circuit
 from repro.baseline import simulate_statevector
+from repro.dd.kernel import FlatEdge
 from repro.dd.package import Package
 from repro.simulation import (Checkpoint, MemoryBudgetExceeded,
                               MemoryGovernor, ReorderPolicy,
@@ -177,12 +179,13 @@ class TestCadenceSift:
 
     @pytest.mark.parametrize("config", [
         dict(kernel="iterative"),
-        dict(kernel="iterative", identity_edges=True),
-        dict(kernel="iterative", identity_edges=True, dense_blocks=False),
+        dict(kernel="iterative", dense_blocks=False),
     ])
-    def test_iterative_kernel_materializes_and_sifts(self, config):
-        # the sift only understands the recursive node graph; the engine
-        # must solidify/convert the flat state first and keep simulating
+    def test_iterative_kernel_materializes_and_sifts(
+            self, config, recursive_apply_calls):
+        # the sift only understands the object node graph; the engine
+        # must solidify/convert the flat state first, then put the sifted
+        # state back on the flat store and keep simulating there
         circuit = pairing_circuit(4, tail_layers=2).circuit
         dense = simulate_statevector(circuit)
         engine = SimulationEngine(package=Package(**config))
@@ -191,6 +194,8 @@ class TestCadenceSift:
             reorder=ReorderPolicy(mode="every", every=6, min_nodes=2))
         assert result.statistics.reorders >= 1
         assert dd_fidelity(result, dense) >= FIDELITY_FLOOR
+        assert recursive_apply_calls == []
+        assert type(result.state) is FlatEdge
 
     def test_min_nodes_skips_but_advances_clock(self):
         # default min_nodes=8 never fires on a 2-qubit state, yet the
@@ -266,6 +271,30 @@ class TestCheckpointResume:
         assert dd_fidelity(resumed, dense) >= FIDELITY_FLOOR
         assert resumed.statistics.operations_applied == \
             circuit.num_operations()
+
+    def test_resumed_iterative_run_stays_flat(self, tmp_path,
+                                              recursive_apply_calls):
+        # a checkpoint stores object nodes; the resumed run must put the
+        # state back on the flat store and keep simulating there
+        circuit = supremacy_circuit(3, 3, 8, 1).circuit
+        path = str(tmp_path / "iterative.ckpt")
+
+        def interrupt(index: int) -> None:
+            if index == 10:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            SimulationEngine(package=Package(kernel="iterative")).simulate(
+                circuit, SequentialStrategy(), checkpoint_path=path,
+                on_op=interrupt)
+        resumed = SimulationEngine(
+            package=Package(kernel="iterative")).resume(path, circuit)
+        assert recursive_apply_calls == []
+        assert type(resumed.state) is FlatEdge
+        assert resumed.statistics.operations_applied == \
+            circuit.num_operations()
+        assert dd_fidelity(resumed, simulate_statevector(circuit)) >= \
+            FIDELITY_FLOOR
 
     def test_version1_checkpoint_loads_without_permutation(self, tmp_path):
         circuit = pairing_circuit(2).circuit

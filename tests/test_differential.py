@@ -13,6 +13,7 @@ derives it from the run number so successive runs explore fresh circuits
 while any failure stays reproducible from the logged seed.
 """
 
+import functools
 import os
 from random import Random
 
@@ -40,18 +41,15 @@ ALL_STRATEGY_SPECS = ("sequential", "k=2", "k=3", "k=4", "k=16", "smax=4",
                       "repeating:k=3")
 
 #: DD-core configurations the kernel grid crosses with every strategy:
-#: both arithmetic kernels, identity-skipping matrix edges on and off, and
-#: (for the iterative kernel) the dense-block fast path on and off.  Every
-#: cell must land on the same dense-baseline state.
+#: both arithmetic kernels, the I*M / I*v shortcut on and off, and (for
+#: the iterative kernel) the dense-block fast path on and off.  Every cell
+#: must land on the same dense-baseline state with the same schedule.
 KERNEL_CONFIGS = {
     "recursive": dict(kernel="recursive"),
     "recursive-noshortcut": dict(kernel="recursive",
                                  identity_shortcut=False),
     "iterative": dict(kernel="iterative"),
-    "iterative-idedges": dict(kernel="iterative", identity_edges=True),
-    "iterative-idedges-nodense": dict(kernel="iterative",
-                                      identity_edges=True,
-                                      dense_blocks=False),
+    "iterative-nodense": dict(kernel="iterative", dense_blocks=False),
 }
 
 #: paper-family circuits the local-apply grid runs next to its seeded
@@ -111,8 +109,7 @@ def random_circuit(num_qubits: int, num_operations: int, seed: int,
 def paper_engine() -> SimulationEngine:
     """The paper-literal pathway: explicit gate DDs, one MxV per gate,
     no identity shortcut -- the pathway the strategies actually schedule."""
-    return SimulationEngine(package=Package(identity_shortcut=False),
-                            use_local_apply=False)
+    return SimulationEngine.paper_literal()
 
 
 def dd_fidelity(result, dense: np.ndarray) -> float:
@@ -194,21 +191,39 @@ class TestMeasurementDistributions:
                 assert counts == reference, spec
 
 
-class TestKernelGrid:
-    """Every strategy x kernel x identity-edge configuration vs dense.
+def grid_circuit() -> QuantumCircuit:
+    return random_circuit(6, 35, seed=DIFFERENTIAL_SEED + 23,
+                          rotations=True)
 
-    The iterative worklist kernel and identity-skipping matrix edges are
-    performance work, not semantics: whatever the strategy schedules and
-    whichever core executes it, the state must match the dense baseline
-    and the resulting DD (identity-edge gaps included) must pass the
-    structural audit.
+
+def schedule(statistics) -> tuple[int, int, int]:
+    return (statistics.matrix_vector_mults, statistics.matrix_matrix_mults,
+            statistics.reused_block_applications)
+
+
+@functools.cache
+def recursive_schedule(spec: str) -> tuple[int, int, int]:
+    """(MxV, MxM, reused) of the grid circuit on the recursive kernel."""
+    engine = SimulationEngine(package=Package(**KERNEL_CONFIGS["recursive"]),
+                              use_local_apply=False)
+    return schedule(engine.simulate(grid_circuit(),
+                                    strategy_from_spec(spec)).statistics)
+
+
+class TestKernelGrid:
+    """Every strategy x kernel configuration vs dense.
+
+    The iterative worklist kernel, its dense blocks and the identity
+    shortcut are performance work, not semantics: whatever the strategy
+    schedules and whichever core executes it, the schedule must be the
+    recursive kernel's, the state must match the dense baseline and the
+    resulting DD must pass the structural audit.
     """
 
     @pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
     @pytest.mark.parametrize("spec", ALL_STRATEGY_SPECS)
     def test_matches_dense_and_audits(self, spec, config):
-        circuit = random_circuit(6, 35, seed=DIFFERENTIAL_SEED + 23,
-                                 rotations=True)
+        circuit = grid_circuit()
         package = Package(**KERNEL_CONFIGS[config])
         engine = SimulationEngine(package=package, use_local_apply=False)
         result = engine.simulate(circuit, strategy_from_spec(spec))
@@ -217,8 +232,9 @@ class TestKernelGrid:
         assert fidelity >= FIDELITY_FLOOR, \
             (f"{config} under {spec}: fidelity {fidelity!r} "
              f"(seed base {DIFFERENTIAL_SEED})")
-        # the final state -- and, for identity-edge configurations, the
-        # gap-carrying gate DDs the run interned -- must audit clean
+        # the MxV/MxM schedule is a function of circuit and strategy only
+        assert schedule(result.statistics) == recursive_schedule(spec), \
+            (f"{config} under {spec} (seed base {DIFFERENTIAL_SEED})")
         package.assert_invariants([result.state])
 
     @pytest.mark.parametrize("spec,config,name", _local_apply_cases())

@@ -1,7 +1,7 @@
 """Option-surface fuzzing: plans, cases, coverage, mutation.
 
-The option surface (kernel choice, identity edges, dense blocks, strategy,
-reordering cadence, memory budgets, checkpoint/resume) is where bugs have
+The option surface (kernel choice, dense blocks, strategy, reordering
+cadence, memory budgets, checkpoint/resume) is where bugs have
 historically hidden -- each past PR's post-mortem bug lived in an option
 *interaction*, not in a single gate path.  These tests pin the fuzzing
 machinery itself plus the acceptance property: a planted reorder-path bug
@@ -56,9 +56,8 @@ class TestRunPlan:
             assert option not in shrunk.options()
 
     def test_round_trip(self):
-        plan = RunPlan(kernel="iterative", identity_edges=True,
-                       strategy="repeating:k=2", reorder="governor",
-                       max_nodes=48, checkpoint_at=7)
+        plan = RunPlan(kernel="iterative", strategy="repeating:k=2",
+                       reorder="governor", max_nodes=48, checkpoint_at=7)
         assert RunPlan.from_dict(plan.as_dict()) == plan
 
     @pytest.mark.parametrize("payload", [
@@ -94,9 +93,8 @@ class TestExecutePlan:
             pytest.approx(1.0)
 
     def test_option_heavy_plan_still_matches_oracle(self):
-        plan = RunPlan(kernel="iterative", identity_edges=True,
-                       strategy="repeating:k=2", reorder="every=2",
-                       max_nodes=96)
+        plan = RunPlan(kernel="iterative", strategy="repeating:k=2",
+                       reorder="every=2", max_nodes=96)
         outcome = execute_plan(entangler(), plan)
         assert outcome.ok
         assert dense_fidelity(outcome.result, entangler()) == \
@@ -244,7 +242,7 @@ class TestCampaigns:
         # The acceptance criterion: an engine that skips reorder
         # notifications (stale block cache, uncleared extra roots) must
         # be caught by the option-surface campaign and minimized.  It is
-        # caught at case 28, whose plan interrupts at op 4 and resumes:
+        # caught at case 28, whose plan interrupts at op 11 and resumes:
         # DD-repeating keeps its block cache on every run, also a resumed
         # one, so a cadence sift leaves it stale.  The minimizer stops at
         # 9 gates on 5 qubits under a 2-step plan; the corpus entry
