@@ -881,8 +881,8 @@ def main(argv: list[str] | None = None) -> int:
                                "dd | dd-iterative | dd-matrix | dense, or "
                                "'auto' to pick per circuit from cheap "
                                "predictors (decision recorded in the "
-                               "statistics); default: the engine fast "
-                               "path")
+                               "statistics); default: the default "
+                               "engine")
     simulate.add_argument("--initial", type=int, default=0,
                           help="initial basis state index")
     add_run_options(simulate)

@@ -1,7 +1,7 @@
 """Multi-backend dispatch: every way to simulate, behind one protocol.
 
 The repo computes the same quantum state four ways -- the recursive DD
-fast path, the iterative flat-array DD kernel, the paper's strategy-driven
+core, the iterative flat-array DD kernel, the paper's strategy-driven
 matrix-DD pathway, and a dense statevector.  This package puts them behind
 one :class:`Backend` protocol with a registry, so callers (CLI, sweeps,
 the differential fuzzer) treat "which simulator" as data, and an ``auto``

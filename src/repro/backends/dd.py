@@ -3,9 +3,9 @@
 Three adapters share one engine-backed skeleton:
 
 ``dd`` (:class:`DDFastBackend`)
-    The recursive fast path -- controlled single-qubit gates applied
-    directly to the state DD (``Package.apply_gate``), no gate-DD
-    construction.  Supports mid-run reordering and checkpoints.
+    The recursive object-node core: each gate is one Eq. 1 step, its
+    cached gate DD times the state, with the identity shortcut on.
+    Supports mid-run reordering and checkpoints.
 
 ``dd-matrix`` (:class:`DDMatrixBackend`)
     The paper's explicit matrix pathway: every operation becomes a matrix
@@ -116,15 +116,15 @@ class _EngineBackend(Backend):
 
 
 class DDFastBackend(_EngineBackend):
-    """Recursive fast path: direct controlled-gate application."""
+    """Recursive core: one gate DD times the state per gate."""
 
     name = "dd"
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             reorder=True, checkpoint=True,
-            description="recursive DD fast path: gates applied directly "
-                        "to the state DD; reordering and checkpoints")
+            description="recursive DD core: one gate DD times the state "
+                        "per gate; reordering and checkpoints")
 
     def _make_engine(self) -> SimulationEngine:
         return SimulationEngine(governor=self._governor())
@@ -161,8 +161,9 @@ class DDIterativeBackend(_EngineBackend):
         return BackendCapabilities(
             checkpoint=True,
             description="iterative flat-array DD kernel: worklist "
-                        "traversal, canonical add caching, dense-block "
-                        "cutover; fastest on the bench workloads")
+                        "traversal, local-gate path, canonical add "
+                        "caching, dense-block cutover; fastest on the "
+                        "bench workloads")
 
     def _make_engine(self) -> SimulationEngine:
         return SimulationEngine(package=Package(kernel="iterative"),

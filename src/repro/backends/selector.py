@@ -12,7 +12,7 @@ The heuristics encode what the bench data shows:
 
 * Lightly entangling / structured circuits keep their DDs small -- the DD
   family wins regardless of width, and past a few hundred gates the
-  iterative flat kernel beats the recursive fast path.
+  iterative flat kernel beats the recursive core.
 * Heavily entangling rotation circuits densify their DDs; on registers
   that fit in memory, a flat array with O(2^m) per-gate slicing (dense)
   is faster than pushing a near-dense DD around.
@@ -38,7 +38,7 @@ __all__ = ["Selection", "resolve_backend", "score_backends",
 _DENSE_MAX_QUBITS = 10
 
 #: operation count past which the iterative kernel's lower per-node
-#: overhead beats the recursive fast path's simplicity
+#: overhead and local-gate path beat the recursive core's gate-DD steps
 _ITERATIVE_CUTOVER_OPS = 64
 
 
@@ -80,7 +80,8 @@ def score_backends(features: CircuitFeatures) -> dict[str, float]:
     ops = features.num_operations
     fits_dense = features.num_qubits <= _DENSE_MAX_QUBITS
     scores = {
-        # direct gate application shines on short, structured circuits
+        # cached gate DDs times the state: cheap on short, structured
+        # circuits
         "dd": 0.55 - 0.25 * min(1.0, ops / _ITERATIVE_CUTOVER_OPS),
         # the flat kernel takes over as the gate stream grows
         "dd-iterative": 0.45 + 0.25 * min(1.0, ops / (4

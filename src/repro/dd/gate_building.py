@@ -25,27 +25,6 @@ from .package import Package
 __all__ = ["build_gate_dd", "build_diagonal_dd", "build_two_level_dd"]
 
 
-def _as_control_map(controls) -> dict[int, int]:
-    """Normalise control specs to ``{qubit: active_value}``."""
-    if controls is None:
-        return {}
-    if isinstance(controls, Mapping):
-        result = dict(controls)
-    else:
-        result = {}
-        for item in controls:
-            if isinstance(item, tuple):
-                qubit, value = item
-            else:
-                qubit, value = item, 1
-            result[int(qubit)] = int(value)
-    for qubit, value in result.items():
-        if value not in (0, 1):
-            raise ValueError(f"control value for qubit {qubit} must be 0 or 1, "
-                             f"got {value}")
-    return result
-
-
 def build_gate_dd(package: Package, matrix, num_qubits: int, target: int,
                   controls: Mapping[int, int] | Sequence | None = None) -> Edge:
     """Build the DD of a (multi-)controlled single-qubit gate.
@@ -64,7 +43,7 @@ def build_gate_dd(package: Package, matrix, num_qubits: int, target: int,
         0 = negative control) or a sequence of qubits / ``(qubit, value)``
         pairs.  Positive is assumed for bare qubit entries.
     """
-    control_map = _as_control_map(controls)
+    control_map = package._normalise_control_spec(controls)
     if not 0 <= target < num_qubits:
         raise ValueError(f"target {target} out of range for {num_qubits} qubits")
     if target in control_map:

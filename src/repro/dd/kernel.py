@@ -242,7 +242,6 @@ class FlatKernel:
         self.mult_lookups = 0
         self.mult_hits = 0
         # -- flat matrix mirror (populated on demand by mult_mv) --------
-        self.mlvl: list[int] = [-1]
         #: per matrix node: (i00, w00, i01, w01, i10, w10, i11, w11)
         self.ment: list[tuple] = [(0, 0j) * 4]
         #: flat matrix indices that are identity DDs (I*v shortcut)
@@ -522,7 +521,7 @@ class FlatKernel:
     @property
     def live_nodes(self) -> int:
         """Flat slots currently allocated (vector + matrix, sans terminals)."""
-        return len(self.lvl) - 1 + len(self.mlvl) - 1
+        return len(self.lvl) - 1 + len(self.ment) - 1
 
     # ------------------------------------------------------------------
     # garbage collection: mark, compact ascending, remap roots
@@ -589,11 +588,10 @@ class FlatKernel:
             elif r.index:
                 r.index = 0
         freed = before - (len(new_lvl) - 1)
-        freed += len(self.mlvl) - 1
+        freed += len(self.ment) - 1
         self.clear_memos()
         self._obj_cache.clear()
         self._sizes.clear()
-        self.mlvl = [-1]
         self.ment = [(0, 0j) * 4]
         self.midn.clear()
         self._m_import.clear()
@@ -1483,8 +1481,7 @@ class FlatKernel:
             else:
                 entry.append(self._import_matrix_node(child.node))
                 entry.append(child.weight)
-        mi = len(self.mlvl)
-        self.mlvl.append(node.level)
+        mi = len(self.ment)
         self.ment.append(tuple(entry))
         if id(node) in self.identity_ids:
             self.midn.add(mi)

@@ -22,6 +22,7 @@ matrix-matrix multiplication attractive (paper Sec. III).
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .complex_table import DEFAULT_TOLERANCE, ComplexTable
@@ -154,6 +155,8 @@ class _Tables:
     kron_mat: ComputeTable = field(default_factory=lambda: ComputeTable("kron_mat"))
     conj_t: ComputeTable = field(default_factory=lambda: ComputeTable("conj_t"))
     inner: ComputeTable = field(default_factory=lambda: ComputeTable("inner"))
+    #: no object-core operation memoises here; ``cache_stats`` folds the
+    #: iterative kernel's local-gate memo into this row
     apply_gate: ComputeTable = field(
         default_factory=lambda: ComputeTable("apply_gate"))
 
@@ -375,12 +378,16 @@ class Package:
             x = x.to_flat()
         if type(y) is DenseState:
             y = y.to_flat()
+        if x.weight != 0 and y.weight != 0:
+            self._check_levels(x.level, y.level)
         if type(x) is FlatEdge and type(y) is FlatEdge:
             return self.flat.add(x, y)
         return self._add(x, y, self.tables.add_vec, self.make_vector_node, 2)
 
     def add_matrices(self, x: Edge, y: Edge) -> Edge:
         """Sum of two matrix DDs of equal qubit count."""
+        if x.weight != 0 and y.weight != 0:
+            self._check_levels(x.node.level, y.node.level)
         return self._add(x, y, self.tables.add_mat, self.make_matrix_node, 4)
 
     def _add(self, x: Edge, y: Edge, cache: ComputeTable,
@@ -423,25 +430,24 @@ class Package:
         if entry is not None and entry[0] == key:
             cache.hits += 1
             return self._scaled(entry[1], x.weight)
-        if x.node.level == -1:
-            cached = self.terminal_edge(1 + ratio)
+        # Both operands sit on one level (the public entry points check
+        # it), and two terminals are one node, so x is an inner node here.
+        xs = x.node.edges
+        ys = y.node.edges
+        add = self._add
+        if arity == 2:
+            children = (
+                add(xs[0], ys[0].scaled(ratio), cache, make_node, 2),
+                add(xs[1], ys[1].scaled(ratio), cache, make_node, 2),
+            )
         else:
-            xs = x.node.edges
-            ys = y.node.edges
-            add = self._add
-            if arity == 2:
-                children = (
-                    add(xs[0], ys[0].scaled(ratio), cache, make_node, 2),
-                    add(xs[1], ys[1].scaled(ratio), cache, make_node, 2),
-                )
-            else:
-                children = (
-                    add(xs[0], ys[0].scaled(ratio), cache, make_node, 4),
-                    add(xs[1], ys[1].scaled(ratio), cache, make_node, 4),
-                    add(xs[2], ys[2].scaled(ratio), cache, make_node, 4),
-                    add(xs[3], ys[3].scaled(ratio), cache, make_node, 4),
-                )
-            cached = make_node(x.node.level, children)
+            children = (
+                add(xs[0], ys[0].scaled(ratio), cache, make_node, 4),
+                add(xs[1], ys[1].scaled(ratio), cache, make_node, 4),
+                add(xs[2], ys[2].scaled(ratio), cache, make_node, 4),
+                add(xs[3], ys[3].scaled(ratio), cache, make_node, 4),
+            )
+        cached = make_node(x.node.level, children)
         current = entries[slot]
         if current is None:
             cache._filled += 1
@@ -489,10 +495,10 @@ class Package:
         return self._scaled(result, w)
 
     @staticmethod
-    def _check_levels(mlevel: int, vlevel: int) -> None:
-        if mlevel != vlevel:
+    def _check_levels(left: int, right: int) -> None:
+        if left != right:
             raise ValueError(
-                f"matrix level {mlevel} != vector level {vlevel}; "
+                f"operand levels differ ({left} vs {right}); "
                 "operands must cover the same qubits")
 
     def _mult_mv(self, mn, vn) -> Edge:
@@ -503,34 +509,49 @@ class Package:
             # I * v = v: identity padding resolves in this one call instead
             # of recursing through the whole sub-diagram.
             return Edge(vn, self.one.weight)
-        key = (mn, vn)
+        # Every simulation step runs through here, so the compute-table
+        # probe is inlined (slot computed once, reused by the store below;
+        # counters match ComputeTable.get/put exactly) and the 2x2 product
+        # is unrolled.
         cache = self.tables.mult_mv
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        level = mn.level
-        me = mn.edges
-        ve = vn.edges
+        cache.lookups += 1
+        key = (mn, vn)
+        entries = cache._entries
+        slot = hash(key) & cache._mask
+        entry = entries[slot]
+        if entry is not None and entry[0] == key:
+            cache.hits += 1
+            return entry[1]
+        m00, m01, m10, m11 = mn.edges
+        v0, v1 = vn.edges
+        x0 = v0.weight
+        x1 = v1.weight
         mult = self._mult_mv
         scaled = self._scaled
-        children = []
-        for row in (0, 1):
-            parts = []
-            for col in (0, 1):
-                m_child = me[2 * row + col]
-                v_child = ve[col]
-                w = m_child.weight * v_child.weight
-                if w == 0:
-                    continue
-                parts.append(scaled(mult(m_child.node, v_child.node), w))
-            if not parts:
-                children.append(self.zero)
-            elif len(parts) == 1:
-                children.append(parts[0])
-            else:
-                children.append(self.add_vectors(parts[0], parts[1]))
-        result = self.make_vector_node(level, (children[0], children[1]))
-        cache.put(key, result)
+        add = self._add
+        add_vec = self.tables.add_vec
+        make_node = self.make_vector_node
+        w = m00.weight * x0
+        r0 = scaled(mult(m00.node, v0.node), w) if w != 0 else self.zero
+        w = m01.weight * x1
+        if w != 0:
+            r0 = add(r0, scaled(mult(m01.node, v1.node), w), add_vec,
+                     make_node, 2)
+        w = m10.weight * x0
+        r1 = scaled(mult(m10.node, v0.node), w) if w != 0 else self.zero
+        w = m11.weight * x1
+        if w != 0:
+            r1 = add(r1, scaled(mult(m11.node, v1.node), w), add_vec,
+                     make_node, 2)
+        result = make_node(mn.level, (r0, r1))
+        # Re-read the slot: nested recursions may have stored into it.
+        current = entries[slot]
+        if current is None:
+            cache._filled += 1
+        elif current[0] != key:
+            cache.collisions += 1
+        entries[slot] = (key, result)
+        cache.inserts += 1
         return result
 
     def multiply_matrix_matrix(self, a: Edge, b: Edge) -> Edge:
@@ -538,10 +559,7 @@ class Package:
         w = a.weight * b.weight
         if w == 0:
             return self.zero
-        if a.node.level != b.node.level:
-            raise ValueError(
-                f"matrix levels differ ({a.node.level} vs {b.node.level}); "
-                "operands must cover the same qubits")
+        self._check_levels(a.node.level, b.node.level)
         result = self._mult_mm(a.node, b.node)
         return self._scaled(result, w)
 
@@ -583,34 +601,34 @@ class Package:
                 elif len(parts) == 1:
                     children.append(parts[0])
                 else:
-                    children.append(self.add_matrices(parts[0], parts[1]))
+                    children.append(self._add(
+                        parts[0], parts[1], self.tables.add_mat,
+                        self.make_matrix_node, 4))
         result = self.make_matrix_node(
             level, (children[0], children[1], children[2], children[3]))
         cache.put(key, result)
         return result
 
     # ------------------------------------------------------------------
-    # direct local-gate application (fast path for Eq. 1 simulation)
+    # applying one gate (Eq. 1)
     # ------------------------------------------------------------------
 
     def apply_gate(self, v: Edge, matrix, target: int,
                    controls=None) -> Edge:
-        """Apply a (multi-)controlled single-qubit gate directly to a state DD.
+        """Apply a (multi-)controlled single-qubit gate to a state DD.
 
-        This is the fast path for sequential (Eq. 1) simulation: instead of
-        lifting the 2x2 ``matrix`` to an ``n``-qubit gate DD (identity
-        padding on every other qubit) and running a full matrix-vector
-        multiplication, the *state* DD is recursed directly.  Levels above
-        the target are structural copies (or control splits), the 2x2 gate
-        is applied once at the target level, and levels below are only
-        touched when a control sits there.  Results agree with
-        ``multiply_matrix_vector(build_gate_dd(...), v)`` up to the complex
-        table's tolerance.  Every weight handed to the node constructor is
-        a complex-table representative, so node counts agree too on the
-        runs ``tests/dd/test_apply_gate.py`` checks after every gate (two
-        Grover-10 runs), but not without bound: on Grover-17 the object
-        core first differs at op 95 (38 against 36 nodes), where the flat
-        kernel still matches.
+        A state held as object nodes takes one Eq. 1 step: the gate's DD
+        times the state, ``multiply_matrix_vector(build_gate_dd(self,
+        matrix, n, target, controls), v)``.  The iterative kernel's flat
+        states and dense blocks take the kernel's local path instead
+        (:meth:`FlatKernel.apply_gate
+        <repro.dd.kernel.FlatKernel.apply_gate>`, :meth:`FlatKernel.apply_dense
+        <repro.dd.kernel.FlatKernel.apply_dense>`), which never builds the
+        n-qubit gate DD: levels above the target are structural copies or
+        control splits, and the 2x2 gate is applied once at the target
+        level.  On the first 130 operations of Grover-17 both give the
+        matrix path's node count after every gate
+        (``tests/dd/test_apply_gate.py``).
 
         Parameters
         ----------
@@ -625,6 +643,14 @@ class Package:
             Mapping ``{qubit: active_value}`` (1 = positive, 0 = negative)
             or a sequence of qubits / ``(qubit, value)`` pairs.
         """
+        if type(v) is Edge:
+            if v.weight == 0:
+                return self.zero
+            # gate_building imports this module, so not at the top
+            from .gate_building import build_gate_dd
+            gate = build_gate_dd(self, matrix, v.node.level + 1, target,
+                                 controls)
+            return self.multiply_matrix_vector(gate, v)
         prep_key = None
         if type(matrix) is tuple and (controls is None
                                       or type(controls) is tuple):
@@ -650,25 +676,11 @@ class Package:
                 self._gate_prep[prep_key] = prep
         else:
             u, control_map, lower, gate_id, proj_id = prep
-        if type(v) is DenseState:
-            # Dense block: stay dense -- the gate is a strided numpy update.
-            # This check must precede the weight check below (``weight`` on
-            # a DenseState materialises the full DD).
-            root_level = v.level
-            if not 0 <= target <= root_level:
-                raise ValueError(f"target {target} out of range for state of "
-                                 f"{root_level + 1} qubits")
-            for qubit in control_map:
-                if not 0 <= qubit <= root_level:
-                    raise ValueError(f"control {qubit} out of range for "
-                                     f"state of {root_level + 1} qubits")
-            kprep = self.flat.prepare_gate(u, control_map, lower,
-                                           gate_id, proj_id, target)
-            return self.flat.apply_dense(v, kprep)
-        flat = type(v) is FlatEdge
-        if v.weight == 0:
-            return FlatEdge(self.flat, 0, 0j) if flat else self.zero
-        root_level = v.level if flat else v.node.level
+        dense = type(v) is DenseState
+        # ``weight`` on a dense block would materialise the full DD.
+        if not dense and v.weight == 0:
+            return FlatEdge(self.flat, 0, 0j)
+        root_level = v.level
         if not 0 <= target <= root_level:
             raise ValueError(f"target {target} out of range for state of "
                              f"{root_level + 1} qubits")
@@ -676,13 +688,12 @@ class Package:
             if not 0 <= qubit <= root_level:
                 raise ValueError(f"control {qubit} out of range for state of "
                                  f"{root_level + 1} qubits")
-        if flat:
-            kprep = self.flat.prepare_gate(u, control_map, lower,
-                                           gate_id, proj_id, target)
-            return self.flat.apply_gate(v, kprep)
-        result = self._apply_gate_rec(v.node, u, target, control_map,
-                                      lower, gate_id, proj_id)
-        return self._scaled(result, v.weight)
+        kprep = self.flat.prepare_gate(u, control_map, lower, gate_id,
+                                       proj_id, target)
+        if dense:
+            # Dense block: stay dense -- the gate is a strided numpy update.
+            return self.flat.apply_dense(v, kprep)
+        return self.flat.apply_gate(v, kprep)
 
     def _spec_id(self, spec: tuple) -> int:
         """Intern a gate/projection spec tuple to a unique small int."""
@@ -697,7 +708,7 @@ class Package:
         """Normalise control specs to ``{qubit: active_value}``."""
         if not controls:
             return {}
-        if isinstance(controls, dict):
+        if isinstance(controls, Mapping):
             result = dict(controls)
         else:
             result = {}
@@ -711,163 +722,6 @@ class Package:
             if value not in (0, 1):
                 raise ValueError(f"control value for qubit {qubit} must be "
                                  f"0 or 1, got {value}")
-        return result
-
-    def _gate_term(self, factor: complex, edge: Edge) -> Edge:
-        """``factor * edge`` with zero short-circuits (one gate-matrix term)."""
-        if factor == 0 or edge.weight == 0:
-            return self.zero
-        return self._scaled(edge, factor)
-
-    def _apply_gate_rec(self, vn, u, target: int, control_map: dict,
-                        lower: dict, gate_id: int, proj_id: int) -> Edge:
-        """Transform the sub-state below ``vn`` (weight-1 normal form)."""
-        self.counters.apply_gate_recursions += 1
-        # The compute-table probe is inlined (slot computed once, reused by
-        # the store below); counters match ComputeTable.get/put exactly.
-        cache = self.tables.apply_gate
-        cache.lookups += 1
-        key = (vn, gate_id)
-        entries = cache._entries
-        slot = hash(key) & cache._mask
-        entry = entries[slot]
-        if entry is not None and entry[0] == key:
-            cache.hits += 1
-            return entry[1]
-        rec = self._apply_gate_rec
-        e0, e1 = vn.edges
-        level = vn.level
-        if level > target:
-            # Structural copy above the target.  Each child weight is
-            # interned before it reaches make_vector_node, which snaps only
-            # the ratio and the norm and so needs table representatives:
-            # with raw products, two representatives of one value (e.g.
-            # sqrt(1/2) and sqrt(1/2) - 1.6e-10) yield ratios just outside
-            # the tolerance of 1, each becomes a new representative, and
-            # nodes that should be shared stop comparing equal.
-            active = control_map.get(level)
-            if active is None:
-                if e0.weight == 0:
-                    t0 = self.zero
-                else:
-                    sub = rec(e0.node, u, target, control_map,
-                              lower, gate_id, proj_id)
-                    t0 = self._scaled(sub, e0.weight)
-                if e1.weight == 0:
-                    t1 = self.zero
-                else:
-                    sub = rec(e1.node, u, target, control_map,
-                              lower, gate_id, proj_id)
-                    t1 = self._scaled(sub, e1.weight)
-            elif active == 1:
-                t0 = e0
-                if e1.weight == 0:
-                    t1 = self.zero
-                else:
-                    sub = rec(e1.node, u, target, control_map,
-                              lower, gate_id, proj_id)
-                    t1 = self._scaled(sub, e1.weight)
-            else:
-                if e0.weight == 0:
-                    t0 = self.zero
-                else:
-                    sub = rec(e0.node, u, target, control_map,
-                              lower, gate_id, proj_id)
-                    t0 = self._scaled(sub, e0.weight)
-                t1 = e1
-            result = self.make_vector_node(level, (t0, t1))
-        elif not lower:
-            # Target level, gate unconditioned below: one 2x2 application.
-            n0 = self.add_vectors(self._gate_term(u[0], e0),
-                                  self._gate_term(u[1], e1))
-            n1 = self.add_vectors(self._gate_term(u[2], e0),
-                                  self._gate_term(u[3], e1))
-            result = self.make_vector_node(target, (n0, n1))
-        else:
-            # Controls below the target: project out the component where
-            # all lower controls are active and add the gate's *correction*
-            # to it -- new_v0 = v0 + (u00 - 1) P v0 + u01 P v1 (and
-            # symmetrically for v1).  Diagonal entries equal to 1 (e.g. the
-            # untouched row of a multi-controlled Z) then cost nothing.
-            a0 = self._project_lower_controls(e0, lower, proj_id)
-            a1 = self._project_lower_controls(e1, lower, proj_id)
-            d0 = self.add_vectors(self._gate_term(u[0] - 1, a0),
-                                  self._gate_term(u[1], a1))
-            d1 = self.add_vectors(self._gate_term(u[2], a0),
-                                  self._gate_term(u[3] - 1, a1))
-            n0 = self.add_vectors(e0, d0)
-            n1 = self.add_vectors(e1, d1)
-            result = self.make_vector_node(target, (n0, n1))
-        # Re-read the slot: nested recursions may have stored into it.
-        current = entries[slot]
-        if current is None:
-            cache._filled += 1
-        elif current[0] != key:
-            cache.collisions += 1
-        entries[slot] = (key, result)
-        cache.inserts += 1
-        return result
-
-    def _project_lower_controls(self, edge: Edge, lower: dict,
-                                proj_id: int) -> Edge:
-        """Component of ``edge`` where every control in ``lower`` is active."""
-        if edge.weight == 0:
-            return self.zero
-        return self._scaled(
-            self._project_rec(edge.node, lower, min(lower), proj_id),
-            edge.weight)
-
-    def _project_rec(self, vn, lower: dict, lowest: int, proj_id: int) -> Edge:
-        level = vn.level
-        if level < lowest:
-            # No controls remain below: the whole sub-state is active.
-            return self.one if level == -1 else Edge(vn, self.one.weight)
-        self.counters.apply_gate_recursions += 1
-        cache = self.tables.apply_gate
-        cache.lookups += 1
-        key = (vn, proj_id)
-        entries = cache._entries
-        slot = hash(key) & cache._mask
-        entry = entries[slot]
-        if entry is not None and entry[0] == key:
-            cache.hits += 1
-            return entry[1]
-        e0, e1 = vn.edges
-        active = lower.get(level)
-        rec = self._project_rec
-        if active is None:
-            if e0.weight == 0:
-                t0 = self.zero
-            else:
-                sub = rec(e0.node, lower, lowest, proj_id)
-                t0 = self._scaled(sub, e0.weight)
-            if e1.weight == 0:
-                t1 = self.zero
-            else:
-                sub = rec(e1.node, lower, lowest, proj_id)
-                t1 = self._scaled(sub, e1.weight)
-        elif active == 1:
-            t0 = self.zero
-            if e1.weight == 0:
-                t1 = self.zero
-            else:
-                sub = rec(e1.node, lower, lowest, proj_id)
-                t1 = self._scaled(sub, e1.weight)
-        else:
-            if e0.weight == 0:
-                t0 = self.zero
-            else:
-                sub = rec(e0.node, lower, lowest, proj_id)
-                t0 = self._scaled(sub, e0.weight)
-            t1 = self.zero
-        result = self.make_vector_node(level, (t0, t1))
-        current = entries[slot]
-        if current is None:
-            cache._filled += 1
-        elif current[0] != key:
-            cache.collisions += 1
-        entries[slot] = (key, result)
-        cache.inserts += 1
         return result
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ same Hadamard a thousand times builds its DD once), drives a
 records statistics.  Memory is governed by a
 :class:`~repro.simulation.memory.MemoryGovernor`: when the package's unique
 tables outgrow the governor's threshold, everything not reachable from the
-run's roots (state, pending product, cached gate and block DDs) is freed --
+run's roots (state, pending product, combined block DDs) is freed --
 and when a collection turns out to be futile (the working set itself has
 outgrown the threshold) the governor grows the threshold instead of
 re-collecting every step.  An opt-in ``trace`` callback streams per-step
@@ -164,28 +164,37 @@ class _Run:
         return self.engine.gate_dd(self.map_operation(operation),
                                    self.num_qubits)
 
-    def apply_matrix(self, matrix: Edge) -> None:
-        """One simulation step: ``state <- matrix x state`` (Eq. 1 step)."""
+    def apply_matrix(self, matrix: Edge, gate: str = "matrix") -> None:
+        """One simulation step: ``state <- matrix x state`` (Eq. 1 step).
+
+        ``gate`` names the step in the trace: the operation's gate for an
+        elementary step, ``"matrix"`` for a combined product.
+        """
         self.state = self.package.multiply_matrix_vector(matrix, self.state)
         self.statistics.matrix_vector_mults += 1
         self.statistics.record_state_size(
             self.package.count_nodes(self.state))
         self.engine.maybe_collect(self)
         if self.trace is not None:
-            self._trace_step("matrix")
+            self._trace_step(gate)
 
     def apply_operation(self, operation: Operation) -> None:
-        """One elementary simulation step, via the local-gate fast path.
+        """One elementary simulation step (Eq. 1).
 
-        When the engine has ``use_local_apply`` enabled the 2x2 gate is
-        applied directly to the state DD (no n-qubit gate DD, no full
-        matrix-vector multiplication); otherwise this falls back to the
-        explicit gate-DD pathway.  Either way it counts as one Eq. 1 step.
+        A state held as object nodes (every state of the recursive
+        kernel) takes the step as the operation's gate DD times the state
+        (:meth:`apply_matrix`).  With ``use_local_apply`` on, the iterative
+        kernel's flat states and dense blocks take the kernel's local-gate
+        path instead (:meth:`Package.apply_gate
+        <repro.dd.package.Package.apply_gate>`), which builds no n-qubit
+        gate DD.  Either way it counts as one Eq. 1 step, and its trace
+        ``step`` names the operation's gate.
         """
         operation = self.map_operation(operation)
-        if not self.engine.use_local_apply:
+        if type(self.state) is Edge or not self.engine.use_local_apply:
             self.apply_matrix(self.engine.gate_dd(operation,
-                                                  self.num_qubits))
+                                                  self.num_qubits),
+                              operation.gate)
             return
         matrix, controls = self.engine.local_gate_spec(operation)
         self.state = self.package.apply_gate(
@@ -202,10 +211,12 @@ class _Run:
 
         A dense block has no DD nodes: its step reports ``state_nodes`` 0
         and its amplitude capacity in ``dense_amps``, as the statistics
-        split ``peak_state_nodes`` and ``peak_dense_amps``.
+        split ``peak_state_nodes`` and ``peak_dense_amps``.  Hit rates are
+        the ``cache_stats()`` compute rows, which fold the iterative
+        kernel's memos into the object core's tables.
         """
         package = self.package
-        tables = package.tables
+        compute = package.cache_stats()["compute"]
         pending = self._pending
         state = self.state
         dense = type(state) is DenseState
@@ -218,8 +229,8 @@ class _Run:
             "product_nodes": package.count_nodes(pending)
             if pending is not None else 0,
             "live_nodes": package.live_node_count(),
-            "apply_gate_hit_rate": round(tables.apply_gate.hit_rate(), 6),
-            "mult_mv_hit_rate": round(tables.mult_mv.hit_rate(), 6),
+            "apply_gate_hit_rate": compute["apply_gate"]["hit_rate"],
+            "mult_mv_hit_rate": compute["mult_mv"]["hit_rate"],
         })
 
     def combine(self, later: Edge, earlier: Edge) -> Edge:
@@ -288,10 +299,16 @@ class SimulationEngine:
         instead of grinding).
     use_local_apply:
         When true (the default), elementary operations fed by the sequential
-        pathway are applied with :meth:`Package.apply_gate` -- the local-gate
-        fast path that never builds the n-qubit gate DD.  Disable to force
-        the paper-literal pathway (explicit gate DD + matrix-vector
-        multiplication per gate), e.g. for the paper-artifact experiments.
+        pathway to an iterative-kernel state (flat DD or dense block) are
+        applied with the kernel's local-gate path (:meth:`Package.apply_gate`),
+        which never builds the n-qubit gate DD.  A state held as object
+        nodes always takes the paper's Eq. 1 step, the gate DD times the
+        state.  Disable to put every state on that pathway, e.g. for the
+        paper-artifact experiments.
+
+    Gate DDs are cached per operation like the compute tables cache
+    results: the cache pins nothing across a garbage collection, and a
+    collection that frees nodes clears it.
 
     The state is measured after every simulation step and once more
     after the final solidify, so ``peak_state_nodes`` is the exact DD
@@ -311,7 +328,7 @@ class SimulationEngine:
             else MemoryGovernor(node_limit=gc_node_limit)
         self.use_local_apply = use_local_apply
         self._gate_cache: dict[tuple[Operation, int], Edge] = {}
-        # 2x2 entries + control map per operation for the local fast path
+        # 2x2 entries + control map per operation for the local-gate path
         # (skips the numpy matrix construction on every application).
         # Keyed by id() -- the operation objects live in the circuit, and
         # the values keep a reference so ids stay valid; hashing a frozen
@@ -324,10 +341,11 @@ class SimulationEngine:
         """An engine on the paper's cost model.
 
         Every gate becomes an explicit gate DD and one matrix-vector
-        multiplication (no local-gate fast path), and multiplications
-        recurse through identity padding like any other sub-matrix
-        (``Package(identity_shortcut=False)``), so the machine-independent
-        recursion counts are the ones the paper's figures count.
+        multiplication on both kernels (no local-gate path), and
+        multiplications recurse through identity padding like any other
+        sub-matrix (``Package(identity_shortcut=False)``), so the
+        machine-independent recursion counts are the ones the paper's
+        figures count.
         """
         return cls(package=Package(identity_shortcut=False, kernel=kernel),
                    use_local_apply=False, governor=governor)
@@ -824,24 +842,30 @@ class SimulationEngine:
         (budget abort) happens.  Governor pressure means the live working
         set is over the hard ``max_nodes`` budget after a collection, or
         the collection was futile (the threshold had to grow).
+
+        A package over ``max_nodes`` is collected first, also below the
+        threshold (which grows past ``max_nodes`` once the working set
+        needs it), so pressure and the budget judge reachable nodes, not
+        garbage.
         """
         governor = self.governor
-        package = self.package
-        live = package.live_node_count()
+        budget = governor.max_nodes
+        live = self.package.live_node_count()
         collection_grew = False
-        if governor.should_collect(live):
+        if governor.should_collect(live) or (budget is not None
+                                             and live > budget):
             live = self._collect(run)
             collection_grew = run._collection_grew
         policy = run.reorder
         if policy is not None:
-            pressure = collection_grew or (
-                governor.max_nodes is not None and live > governor.max_nodes)
+            pressure = collection_grew or (budget is not None
+                                           and live > budget)
             if policy.should_reorder(run.statistics.operations_applied,
                                      pressure):
                 reason = "cadence" if policy.mode == "every" else "pressure"
                 live = self._reorder(run, reason)
-        if (run.degradation is not None and governor.max_nodes is not None
-                and live > governor.max_nodes):
+        if (run.degradation is not None and budget is not None
+                and live > budget):
             live = self._degrade(run, live)
         governor.check_budget(live)
 
@@ -849,12 +873,14 @@ class SimulationEngine:
         """One governed mark-sweep; returns the surviving live-node count."""
         package = self.package
         governor = self.governor
-        roots = run.roots()
-        roots.extend(self._gate_cache.values())
         gc_before = package.gc_stats.snapshot() \
             if run.trace is not None else None
         flat_before = package.gc_stats.flat_slots_freed
-        freed = package.garbage_collect(roots)
+        freed = package.garbage_collect(run.roots())
+        if freed:
+            # A pure cache, like the compute tables: its gate DDs are not
+            # roots, so freed nodes may include some of them.
+            self._gate_cache.clear()
         live = package.live_node_count()
         run._collection_grew = governor.note_collection(
             freed, live,
@@ -1005,7 +1031,7 @@ class SimulationEngine:
         if live <= budget:
             return live
         # Rung 2 (once per run): shrink every compute table and drop the
-        # engine's gate-DD caches, then re-collect the newly unpinned nodes.
+        # engine's gate caches, then re-collect.
         if not policy.tables_shrunk:
             policy.tables_shrunk = True
             dropped = 0

@@ -42,8 +42,9 @@ class SimulationStatistics:
     operations_applied: int = 0
     #: top-level matrix-vector multiplications (state updates, Eq. 1 steps)
     matrix_vector_mults: int = 0
-    #: state updates served by the local-gate fast path (a subset of
-    #: ``matrix_vector_mults``: every local application is one Eq. 1 step)
+    #: state updates served by the iterative kernel's local-gate path (a
+    #: subset of ``matrix_vector_mults``: every local application is one
+    #: Eq. 1 step)
     local_gate_applications: int = 0
     #: top-level matrix-matrix multiplications (operation combining, Eq. 2)
     matrix_matrix_mults: int = 0

@@ -111,10 +111,10 @@ class SimulationStrategy:
 class SequentialStrategy(SimulationStrategy):
     """State-of-the-art baseline: one state update per gate (pure Eq. 1).
 
-    On engines with ``use_local_apply`` (the default) each gate is applied
-    through the package's local-gate fast path; otherwise every gate builds
-    its full-register matrix DD and runs one matrix-vector multiplication,
-    exactly as in the paper.
+    Every gate builds its full-register matrix DD and runs one
+    matrix-vector multiplication, exactly as in the paper -- except that
+    on engines with ``use_local_apply`` (the default), the iterative
+    kernel's states take its local-gate path instead.
     """
 
     name = "sequential"

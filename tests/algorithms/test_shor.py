@@ -280,7 +280,7 @@ class TestIterativeKernelStaysFlat:
                 return original(self, *args, **kwargs)
             return wrapper
 
-        for name in ("_apply_gate_rec", "_mult_mv", "make_vector_node"):
+        for name in ("_mult_mv", "make_vector_node"):
             monkeypatch.setattr(Package, name, counting(name))
         options = {} if strategy is None else {"strategy": strategy}
         package = Package(kernel="iterative")

@@ -126,7 +126,7 @@ class TestSimulation:
     def test_combining_reduces_recursive_work(self):
         # The paper's Fig. 8 claim is about its cost model: explicit gate
         # DDs, one MxV per gate, identity padding traversed.  Pin paper
-        # mode -- the default engine's local-apply fast path deliberately
+        # mode -- the default engine's identity shortcut deliberately
         # sidesteps that cost model.
         instance = supremacy_circuit(3, 3, 10, seed=1)
         sequential = SimulationEngine.paper_literal().simulate(

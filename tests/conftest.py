@@ -28,17 +28,17 @@ def package() -> Package:
 
 @pytest.fixture
 def recursive_apply_calls(monkeypatch) -> list[int]:
-    """The level of every ``Package._apply_gate_rec`` call made during the
-    test: the object-node local-gate core, which an iterative-kernel run
-    never needs."""
+    """The level of every ``Package._mult_mv`` call made during the test:
+    the object core's Eq. 1 step, which an iterative-kernel run of
+    elementary gates never needs."""
     calls: list[int] = []
-    original = Package._apply_gate_rec
+    original = Package._mult_mv
 
-    def recording(self, vn, *args):
+    def recording(self, mn, vn):
         calls.append(vn.level)
-        return original(self, vn, *args)
+        return original(self, mn, vn)
 
-    monkeypatch.setattr(Package, "_apply_gate_rec", recording)
+    monkeypatch.setattr(Package, "_mult_mv", recording)
     return calls
 
 

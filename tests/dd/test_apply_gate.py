@@ -1,11 +1,10 @@
-"""Direct local-gate application (``Package.apply_gate``).
+"""Applying one gate to a state DD (``Package.apply_gate``).
 
-The fast path must be indistinguishable (up to the complex table's
-tolerance) from the paper-literal pathway: build the full n-qubit gate DD
-with identity padding and run one matrix-vector multiplication.  The
+An object-node state takes the paper-literal step (the full n-qubit gate
+DD times the state); the iterative kernel's local path must be
+indistinguishable from it up to the complex table's tolerance.  The
 property test below checks fidelity >= 1 - 1e-10 on randomized circuits of
-random (multi-)controlled single-qubit unitaries, per the acceptance
-criterion in this PR's issue.
+random (multi-)controlled single-qubit unitaries.
 """
 
 from itertools import islice
@@ -14,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.grover import grover_circuit
+from repro.circuit import QuantumCircuit
 from repro.dd import (Package, build_gate_dd, vector_from_numpy,
                       vector_to_numpy)
+from repro.simulation import SimulationEngine
 
 H = ((2 ** -0.5, 2 ** -0.5), (2 ** -0.5, -(2 ** -0.5)))
 X = ((0, 1), (1, 0))
@@ -39,12 +40,14 @@ def _matrix_path(package, state, matrix, n, target, controls=None):
 
 class TestAgainstMatrixPathway:
     def test_randomized_circuits_fidelity(self):
-        """Acceptance criterion: fidelity >= 1 - 1e-10 vs. kron + MxV."""
+        """The flat kernel's local path: fidelity >= 1 - 1e-10 against
+        the gate DD times the object-node state."""
         rng = np.random.default_rng(2019)
         for trial in range(40):
             n = int(rng.integers(1, 6))
-            package = Package()
-            fast = matrix = _random_state(package, rng, n)
+            package = Package(kernel="iterative", dense_blocks=False)
+            matrix = _random_state(package, rng, n)
+            fast = package.flat.import_vector(matrix)
             for _ in range(int(rng.integers(3, 10))):
                 u = _random_unitary_2x2(rng)
                 target = int(rng.integers(n))
@@ -65,21 +68,16 @@ class TestAgainstMatrixPathway:
         pytest.param(17, 2 ** 17 - 3,
                      {"kernel": "iterative", "dense_blocks": False}, 130,
                      id="grover17-iterative"),
-        pytest.param(17, 2 ** 17 - 3, {}, 130, id="grover17-recursive",
-                     marks=pytest.mark.xfail(
-                         strict=True, raises=AssertionError,
-                         reason="ROADMAP item 1(a): the recursive local "
-                                "path first differs at op 95 (h on qubit "
-                                "3: 38 against 36 nodes)")),
     ])
     def test_node_counts_match_after_every_op(self, n, marked, options,
                                               ops):
         """Node for node, not just up to fidelity.  Raw weight products
-        in the structural copy drift the complex table's representatives
-        until shared nodes split: on these Grover-10 instances the counts
-        then first differ at op 1111 and 893 of ~1400.  Short random
-        circuits never run long enough to show it.  Grover-17 runs its
-        first ``ops`` operations on both kernels."""
+        in a local path's structural copy drift the complex table's
+        representatives until shared nodes split: on these Grover-10
+        instances the counts then first differed at op 1111 and 893 of
+        ~1400, and on Grover-17 at op 95 (38 against 36 nodes).  Short
+        random circuits never run long enough to show it.  Grover-17 runs
+        its first ``ops`` operations on the flat kernel's local path."""
         fast_pkg, matrix_pkg = Package(**options), Package()
         fast = fast_pkg.basis_state(n, 0)
         matrix = matrix_pkg.basis_state(n, 0)
@@ -91,6 +89,29 @@ class TestAgainstMatrixPathway:
                                   controls)
             assert fast_pkg.count_nodes(fast) == \
                 matrix_pkg.count_nodes(matrix), f"op {index}"
+
+    def test_engine_matches_flat_kernel_on_grover17(self):
+        """The default engine's Eq. 1 steps (gate DD times state) keep
+        the flat kernel's local path's node count after each of
+        Grover-17's first 130 operations."""
+        n, ops = 17, 130
+        circuit = QuantumCircuit(n)
+        for op in islice(grover_circuit(n, 2 ** n - 3).circuit.operations(),
+                         ops):
+            circuit.append(op)
+        events = []
+        SimulationEngine().simulate(circuit, trace=events.append)
+        engine_counts = [e["state_nodes"] for e in events
+                         if e["event"] == "step"]
+        flat_pkg = Package(kernel="iterative", dense_blocks=False)
+        flat = flat_pkg.basis_state(n, 0)
+        flat_counts = []
+        for op in circuit.operations():
+            flat = flat_pkg.apply_gate(flat, op.matrix(), op.target,
+                                       op.control_map())
+            flat_counts.append(flat_pkg.count_nodes(flat))
+        assert len(engine_counts) == ops
+        assert engine_counts == flat_counts
 
     @pytest.mark.parametrize("target", [0, 1, 2, 3])
     def test_uncontrolled_on_every_level(self, package, target):
@@ -156,15 +177,30 @@ class TestEdgesAndErrors:
         with pytest.raises(ValueError):
             package.apply_gate(state, X, 0, {5: 1})
 
-    def test_recursion_counter_increments(self, package):
+    def test_recursion_counter_increments(self):
+        # the local path lives on the iterative kernel
+        package = Package(kernel="iterative")
         state = package.basis_state(3, 0)
         before = package.counters.apply_gate_recursions
         package.apply_gate(state, H, 0)
         assert package.counters.apply_gate_recursions > before
 
-    def test_cache_hit_on_repeat(self, package):
+    def test_cache_hit_on_repeat(self):
+        package = Package(kernel="iterative")
         state = package.basis_state(4, 0b1010)
         package.apply_gate(state, H, 1)
-        hits_before = package.tables.apply_gate.hits
+        hits_before = package.cache_stats()["compute"]["apply_gate"]["hits"]
         package.apply_gate(state, H, 1)
-        assert package.tables.apply_gate.hits > hits_before
+        assert package.cache_stats()["compute"]["apply_gate"]["hits"] > \
+            hits_before
+
+    def test_object_state_takes_one_matrix_vector_step(self, package):
+        state = package.basis_state(3, 0b010)
+        before = package.counters.snapshot()
+        result = package.apply_gate(state, H, 1, {0: 0})
+        spent = package.counters.delta(before)
+        assert spent.apply_gate_recursions == 0
+        assert spent.mult_mv_recursions > 0
+        reference = _matrix_path(package, state, H, 3, 1, {0: 0})
+        assert result.node is reference.node
+        assert result.weight == reference.weight

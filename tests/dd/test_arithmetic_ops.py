@@ -68,6 +68,18 @@ class TestAddition:
         assert result.node is x.node
         assert abs(result.weight - 2) < 1e-12
 
+    @pytest.mark.parametrize("kernel", ["recursive", "iterative"])
+    def test_unequal_widths_rejected(self, kernel):
+        package = Package(kernel=kernel)
+        with pytest.raises(ValueError, match="same qubits"):
+            package.add_vectors(package.basis_state(3, 1),
+                                package.basis_state(2, 1))
+        with pytest.raises(ValueError, match="same qubits"):
+            package.add_matrices(package.identity(3), package.identity(2))
+        # a zero operand has no width to check
+        x = package.basis_state(3, 1)
+        assert package.add_vectors(x, package.zero) is x
+
     @given(amplitudes(2), amplitudes(2))
     def test_addition_commutes(self, x, y):
         package = Package()

@@ -195,10 +195,10 @@ class TestCompaction:
         state = import_state(package, random_amplitudes(rng, 4))
         gate = build_gate_dd(package, H, 4, 1)
         state = package.multiply_matrix_vector(gate, state)
-        assert len(flat.mult_memo) > 0 and len(flat.mlvl) > 1
+        assert len(flat.mult_memo) > 0 and len(flat.ment) > 1
         flat.collect([state])
         assert len(flat.mult_memo) == 0
-        assert len(flat.mlvl) == 1  # matrix mirror dropped wholesale
+        assert len(flat.ment) == 1  # matrix mirror dropped wholesale
         # the mirror rebuilds transparently on the next multiplication
         again = package.multiply_matrix_vector(
             build_gate_dd(package, H, 4, 1), state)

@@ -11,8 +11,8 @@ from repro.algorithms.supremacy import supremacy_circuit
 from repro.circuit import Operation, QuantumCircuit
 from repro.dd import Package, vector_to_numpy
 from repro.dd.kernel import DenseState
-from repro.simulation import (SequentialStrategy, SimulationEngine,
-                              SimulationResult)
+from repro.simulation import (KOperationsStrategy, SequentialStrategy,
+                              SimulationEngine, SimulationResult)
 
 
 class TestGateCache:
@@ -39,8 +39,9 @@ class TestGateCache:
 
     def test_clear_caches_also_clears_local_gate_cache(self):
         # regression: clear_caches() used to leave _local_gate_cache
-        # populated, keeping stale per-operation specs alive
-        engine = SimulationEngine()
+        # populated, keeping stale per-operation specs alive; the local
+        # path lives on the iterative kernel
+        engine = SimulationEngine(Package(kernel="iterative"))
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1)
         engine.simulate(qc)
@@ -48,6 +49,22 @@ class TestGateCache:
         engine.clear_caches()
         assert not engine._gate_cache
         assert not engine._local_gate_cache
+
+
+    def test_collection_that_frees_nodes_clears_gate_cache(self):
+        # gate DDs are a pure cache: not roots, so a collection that frees
+        # nodes may have freed some of them, and the cache goes with them
+        engine = SimulationEngine(gc_node_limit=2)
+        seen = []
+
+        def watch(event):
+            if event["event"] == "gc":
+                seen.append((event["nodes_freed"], len(engine._gate_cache)))
+
+        engine.simulate(grover_circuit(4, 5).circuit,
+                        KOperationsStrategy(2), trace=watch)
+        assert any(freed for freed, _ in seen)
+        assert all(size == 0 for freed, size in seen if freed)
 
 
 class TestSimulate:
@@ -197,16 +214,30 @@ class TestLocalApplyFastPath:
 
     def test_fast_and_matrix_paths_agree(self):
         qc = self._random_circuit()
-        fast = SimulationEngine(use_local_apply=True).simulate(qc)
+        fast = SimulationEngine(Package(kernel="iterative"),
+                                use_local_apply=True).simulate(qc)
         matrix = SimulationEngine(use_local_apply=False).simulate(qc)
         assert np.allclose(vector_to_numpy(fast.state, 5),
                            vector_to_numpy(matrix.state, 5), atol=1e-9)
 
     def test_fast_path_reports_local_applications(self):
         qc = self._random_circuit()
-        stats = SimulationEngine(use_local_apply=True).simulate(qc).statistics
+        stats = SimulationEngine(Package(kernel="iterative"),
+                                 use_local_apply=True).simulate(qc).statistics
         assert stats.local_gate_applications == qc.num_operations()
         assert stats.counters.apply_gate_recursions > 0
+
+    def test_object_states_take_gate_dd_steps(self):
+        # the recursive kernel holds states as object nodes: each gate is
+        # one gate DD times the state, also with use_local_apply on
+        qc = self._random_circuit()
+        engine = SimulationEngine(use_local_apply=True)
+        stats = engine.simulate(qc).statistics
+        assert stats.matrix_vector_mults == qc.num_operations()
+        assert stats.local_gate_applications == 0
+        assert stats.counters.apply_gate_recursions == 0
+        assert stats.counters.mult_mv_recursions > 0
+        assert engine._gate_cache
 
     def test_matrix_path_reports_none(self):
         qc = self._random_circuit()
@@ -215,16 +246,18 @@ class TestLocalApplyFastPath:
         assert stats.counters.mult_mv_recursions > 0
 
     def test_fast_path_skips_gate_dd_construction(self):
-        engine = SimulationEngine(use_local_apply=True)
+        engine = SimulationEngine(Package(kernel="iterative"),
+                                  use_local_apply=True)
         engine.simulate(self._random_circuit())
         assert not engine._gate_cache
 
     def test_fast_path_keeps_node_sharing_on_grover(self):
-        """Grover-11, marked 1331: raw weight products in the fast path
+        """Grover-11, marked 1331: raw weight products in a local path
         pile up near-duplicate representatives of 1 in the complex table,
         and the state grows from 30 to ~2040 nodes."""
         qc = grover_circuit(11, 1331).circuit
-        engine = SimulationEngine()
+        engine = SimulationEngine(Package(kernel="iterative",
+                                          dense_blocks=False))
         fast = engine.simulate(qc, SequentialStrategy()).statistics
         matrix = SimulationEngine(use_local_apply=False).simulate(
             qc, SequentialStrategy()).statistics

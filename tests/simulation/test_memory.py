@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.pairing import pairing_circuit
 from repro.baseline import simulate_statevector
 from repro.circuit import QuantumCircuit
 from repro.dd import vector_to_numpy
@@ -197,6 +198,20 @@ class TestHardBudget:
     def test_budget_is_a_memory_error(self):
         # callers can catch the generic MemoryError if they want to
         assert issubclass(MemoryBudgetExceeded, MemoryError)
+
+    def test_budget_judges_reachable_nodes_not_garbage(self):
+        # once the working set outgrows node_limit, the threshold grows to
+        # at least surviving + min_headroom, far past max_nodes; the
+        # budget must still be judged after a collection.  This run's
+        # state peaks at 93 nodes, its reachable nodes at 97.
+        circuit = pairing_circuit(5, tail_layers=2).circuit
+        engine = SimulationEngine(
+            governor=MemoryGovernor(node_limit=40, max_nodes=120))
+        result = engine.simulate(circuit, SequentialStrategy())
+        assert engine.governor.limit > 120
+        assert engine.package.live_node_count() <= 120
+        assert np.allclose(vector_to_numpy(result.state, 10),
+                           simulate_statevector(circuit), atol=1e-9)
 
 
 class TestBudgetPathways:

@@ -130,13 +130,13 @@ class TestGovernorTriggeredSift:
 
     def test_unsifted_run_exceeds_budget(self, circuit):
         engine = SimulationEngine(
-            governor=MemoryGovernor(node_limit=40, max_nodes=120))
+            governor=MemoryGovernor(node_limit=40, max_nodes=40))
         with pytest.raises(MemoryBudgetExceeded):
             engine.simulate(circuit, SequentialStrategy())
 
     def test_sifted_run_completes_under_budget(self, circuit, dense):
         engine = SimulationEngine(
-            governor=MemoryGovernor(node_limit=40, max_nodes=120))
+            governor=MemoryGovernor(node_limit=40, max_nodes=40))
         result = engine.simulate(circuit, SequentialStrategy(),
                                  reorder="governor")
         assert result.statistics.reorders >= 1
@@ -150,7 +150,7 @@ class TestGovernorTriggeredSift:
     def test_trace_records_reorder_events(self, circuit):
         events = []
         engine = SimulationEngine(
-            governor=MemoryGovernor(node_limit=40, max_nodes=120))
+            governor=MemoryGovernor(node_limit=40, max_nodes=40))
         engine.simulate(circuit, SequentialStrategy(), reorder="governor",
                         trace=events.append)
         reorders = [e for e in events if e["event"] == "reorder"]
@@ -253,7 +253,7 @@ class TestCheckpointResume:
         dense = simulate_statevector(circuit)
         path = str(tmp_path / "reorder.ckpt")
         engine = SimulationEngine(
-            governor=MemoryGovernor(node_limit=40, max_nodes=120))
+            governor=MemoryGovernor(node_limit=40, max_nodes=40))
         result = engine.simulate(circuit, SequentialStrategy(),
                                  reorder="governor", checkpoint_path=path,
                                  checkpoint_every=25)
@@ -265,7 +265,7 @@ class TestCheckpointResume:
 
         # resume on a completely fresh engine; budget stays in force
         resumed = SimulationEngine(
-            governor=MemoryGovernor(node_limit=40, max_nodes=120)).resume(
+            governor=MemoryGovernor(node_limit=40, max_nodes=40)).resume(
                 checkpoint, circuit, reorder="governor")
         assert resumed.permutation == interleaved_order(5)
         assert dd_fidelity(resumed, dense) >= FIDELITY_FLOOR

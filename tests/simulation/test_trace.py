@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.algorithms import supremacy_circuit
+from repro.algorithms.grover import grover_circuit
 from repro.circuit import QuantumCircuit
 from repro.dd import Package
 from repro.simulation import (JsonlTraceSink, SequentialStrategy,
-                              SimulationEngine, load_trace, trace_summary)
+                              SimulationEngine, load_trace,
+                              strategy_from_spec, trace_summary)
 
 STEP_FIELDS = {"event", "op_index", "gate", "state_nodes", "dense_amps",
                "product_nodes", "live_nodes", "apply_gate_hit_rate",
@@ -45,6 +47,26 @@ class TestTraceCallback:
         gc_events = [e for e in events if e["event"] == "gc"]
         assert gc_events, "a 2-node limit must trigger collections"
         assert all(GC_FIELDS <= set(e) for e in gc_events)
+
+    @pytest.mark.parametrize("spec", ["sequential", "smax=16"])
+    @pytest.mark.parametrize("options", [
+        pytest.param({}, id="recursive"),
+        pytest.param({"kernel": "iterative", "dense_blocks": False},
+                     id="iterative"),
+    ])
+    def test_step_hit_rates_are_the_compute_rows(self, options, spec):
+        # the iterative kernel's memos report under the object core's
+        # rows; a step must not read the object tables alone
+        package = Package(**options)
+        events = []
+        SimulationEngine(package).simulate(
+            grover_circuit(6, 13).circuit, strategy_from_spec(spec),
+            trace=events.append)
+        last = [e for e in events if e["event"] == "step"][-1]
+        compute = package.cache_stats()["compute"]
+        assert last["apply_gate_hit_rate"] == \
+            compute["apply_gate"]["hit_rate"]
+        assert last["mult_mv_hit_rate"] == compute["mult_mv"]["hit_rate"]
 
     def test_no_trace_means_no_overhead_fields(self):
         # the default path must not require a trace consumer

@@ -139,8 +139,9 @@ class TestCheckpointCli:
     def test_budget_abort_names_checkpoint(self, grover_file, tmp_path,
                                            capsys):
         ckpt = str(tmp_path / "oom.ckpt")
+        # the run's reachable nodes peak at 19
         assert main(["simulate", grover_file, "--gc-limit", "10",
-                     "--max-nodes", "20", "--checkpoint", ckpt]) == 2
+                     "--max-nodes", "18", "--checkpoint", ckpt]) == 2
         captured = capsys.readouterr()
         assert "exceeding the hard budget" in captured.err
         assert ckpt in captured.err

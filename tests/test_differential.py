@@ -155,8 +155,9 @@ class TestRandomCircuits:
 
     @pytest.mark.parametrize("spec", ["sequential", "k=4", "smax=64"])
     def test_fast_path_matches_dense_too(self, spec):
-        # the local-gate fast path is an optimisation, not a semantics
-        # change: same ground truth as the paper-literal pathway
+        # the default engine (identity shortcut, cached gate DDs) is an
+        # optimisation, not a semantics change: same ground truth as the
+        # paper-literal pathway
         circuit = random_circuit(6, 40, seed=DIFFERENTIAL_SEED + 17,
                                  rotations=True)
         assert_matches_dense(circuit, spec, engine=SimulationEngine())
