@@ -29,6 +29,7 @@ from random import Random
 from .circuit import from_qasm
 from .simulation import (DegradationPolicy, MemoryBudgetExceeded,
                          MemoryGovernor, SimulationEngine, strategy_from_spec)
+from .simulation.memory import DEFAULT_NODE_LIMIT
 from .verification import check_equivalence
 
 
@@ -187,9 +188,9 @@ def _cmd_simulate_backend(args) -> int:
     from .backends import resolve_backend
     circuit = _load(args.circuit)
     # only forward engine budgets the user actually set -- array backends
-    # take no budget options, and the DD default is 500k anyway
+    # take no budget options, and the DD default is the same limit anyway
     options = {}
-    if args.gc_limit != 500_000:
+    if args.gc_limit != DEFAULT_NODE_LIMIT:
         options["gc_limit"] = args.gc_limit
     if args.max_nodes is not None:
         options["max_nodes"] = args.max_nodes
@@ -835,10 +836,11 @@ def main(argv: list[str] | None = None) -> int:
                              help="probability threshold for --amplitudes")
         command.add_argument("--limit", type=int, default=20,
                              help="max rows to print")
-        command.add_argument("--gc-limit", type=int, default=500_000,
+        command.add_argument("--gc-limit", type=int,
+                             default=DEFAULT_NODE_LIMIT,
                              help="initial GC node limit; the memory governor "
                                   "grows it past a fully-reachable working "
-                                  "set (default 500000)")
+                                  "set (default %(default)s)")
         command.add_argument("--max-nodes", type=int, default=None,
                              help="hard node budget: abort cleanly when the "
                                   "reachable working set exceeds this")
@@ -854,9 +856,8 @@ def main(argv: list[str] | None = None) -> int:
                                   "(requires --checkpoint)")
         command.add_argument("--degrade", action="store_true",
                              help="degrade gracefully instead of aborting "
-                                  "when --max-nodes is exceeded: collect, "
-                                  "shrink caches, then prune with a "
-                                  "fidelity floor")
+                                  "when --max-nodes is exceeded: prune the "
+                                  "state DD within --fidelity-floor")
         command.add_argument("--fidelity-floor", type=float, default=0.99,
                              help="cumulative fidelity below which --degrade "
                                   "stops pruning (default 0.99)")

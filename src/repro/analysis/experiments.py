@@ -501,8 +501,7 @@ def run_reorder_study(pair_counts=(2, 3, 4, 5, 6),
                  "final_node_ratio"])
     for pairs in pair_counts:
         circuit = pairing_circuit(pairs, tail_layers=tail_layers).circuit
-        ordered = SimulationEngine(package=Package(),
-                                   gc_node_limit=None).simulate(circuit)
+        ordered = SimulationEngine(package=Package()).simulate(circuit)
         # Sift once the entangling stage is complete (2*pairs operations),
         # so the tail runs under the improved order; min_nodes=2 keeps the
         # smallest sizes in the study instead of skipping them as trivial.

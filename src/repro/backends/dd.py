@@ -28,7 +28,7 @@ from random import Random
 from ..circuit.circuit import QuantumCircuit
 from ..dd.package import Package
 from ..simulation.engine import SimulationEngine
-from ..simulation.memory import MemoryGovernor
+from ..simulation.memory import DEFAULT_NODE_LIMIT, MemoryGovernor
 from ..simulation.result import SimulationResult
 from ..simulation.strategies import strategy_from_spec
 from .base import Backend, BackendCapabilities, BackendResult
@@ -83,7 +83,7 @@ class _EngineBackend(Backend):
     def _governor(self) -> MemoryGovernor | None:
         if self.gc_limit is None and self.max_nodes is None:
             return None
-        return MemoryGovernor(node_limit=self.gc_limit or 500_000,
+        return MemoryGovernor(node_limit=self.gc_limit or DEFAULT_NODE_LIMIT,
                               max_nodes=self.max_nodes)
 
     def _make_engine(self) -> SimulationEngine:

@@ -154,10 +154,10 @@ def prune_to_node_budget(package: Package, state: Edge, max_nodes: int,
 
     Runs :func:`prune_small_contributions` passes with a geometrically
     growing mass budget, never letting the *cumulative* fidelity (product
-    of the per-pass fidelities) fall below ``min_fidelity``.  This is the
-    fallback the simulation engine's degradation ladder uses when a run's
-    working set exceeds its hard memory budget: a controlled, accounted
-    fidelity loss instead of losing the whole run.
+    of the per-pass fidelities) fall below ``min_fidelity``.  This is what
+    the simulation engine's degradation policy does when a run's working
+    set exceeds its hard memory budget: a controlled, accounted fidelity
+    loss instead of losing the whole run.
 
     The returned :class:`ApproximationResult` carries the cumulative
     fidelity and total edges cut over all passes.  The result may still

@@ -83,35 +83,6 @@ class ComputeTable:
         """
         return filter(None, self._entries) if self._filled else iter(())
 
-    def resize(self, slots: int) -> int:
-        """Shrink (or grow) the table to ``slots`` slots, rehashing entries.
-
-        Entries whose new slot collides are dropped (replace-on-collision,
-        same policy as :meth:`put`).  Returns the number of entries lost.
-        The degradation ladder uses this to trade cache hit rate for
-        memory when a run brushes its hard budget.
-        """
-        if slots < 1:
-            raise ValueError(f"slots must be positive, got {slots}")
-        size = 1
-        while size < slots:
-            size <<= 1
-        if size == self.slots:
-            return 0
-        survivors = [entry for entry in self._entries if entry is not None]
-        self.slots = size
-        self._mask = size - 1
-        self._entries = [None] * size
-        self._filled = 0
-        kept = 0
-        for key, value in survivors:
-            index = hash(key) & self._mask
-            if self._entries[index] is None:
-                self._filled += 1
-                kept += 1
-            self._entries[index] = (key, value)
-        return len(survivors) - kept
-
     def clear(self) -> int:
         """Drop all entries; returns how many were dropped.
 

@@ -87,7 +87,7 @@ def run_job_attempt(store: JobStore, job_id: str, attempt: int) -> int:
     from ..dd.package import Package
     from ..simulation.checkpoint import CheckpointError, load_checkpoint
     from ..simulation.engine import SimulationEngine
-    from ..simulation.memory import MemoryGovernor
+    from ..simulation.memory import DEFAULT_NODE_LIMIT, MemoryGovernor
     from ..simulation.strategies import strategy_from_spec
 
     record = store.get(job_id)
@@ -106,8 +106,9 @@ def run_job_attempt(store: JobStore, job_id: str, attempt: int) -> int:
         kernel = spec.kernel or "recursive"
         governor = None
         if spec.max_nodes is not None or spec.gc_limit is not None:
-            governor = MemoryGovernor(node_limit=spec.gc_limit or 500_000,
-                                      max_nodes=spec.max_nodes)
+            governor = MemoryGovernor(
+                node_limit=spec.gc_limit or DEFAULT_NODE_LIMIT,
+                max_nodes=spec.max_nodes)
         if spec.use_local_apply:
             engine = SimulationEngine(package=Package(kernel=kernel),
                                       governor=governor)

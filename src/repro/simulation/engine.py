@@ -20,8 +20,7 @@ Long runs get a **resilience layer** on top:
   ``KeyboardInterrupt``; :meth:`SimulationEngine.resume` continues a
   checkpointed run bit-exactly.
 * ``degradation`` (a :class:`~repro.simulation.memory.DegradationPolicy`)
-  turns a hard budget overrun into an ordered ladder of fallbacks --
-  collect, shrink compute tables, fidelity-bounded state pruning -- before
+  answers a hard budget overrun with fidelity-bounded state pruning before
   giving up.
 * ``audit_every`` runs the package's integrity auditor
   (:meth:`Package.check_invariants <repro.dd.package.Package.check_invariants>`)
@@ -238,7 +237,7 @@ class _Run:
 
         Combining is governed like state updates are: a long accumulation
         streak can blow the memory budget without ever touching the state,
-        so the governor (and the degradation ladder) runs here too.  The
+        so the governor (and degradation pruning) runs here too.  The
         fresh product is pinned as a root for the duration -- the strategy
         has not adopted it as pending yet.  A governed *reorder* permutes
         the pinned product in place, so the guard is re-read after the
@@ -286,17 +285,6 @@ class SimulationEngine:
         The DD package to use; a fresh one is created when omitted.  Sharing
         a package across runs lets results be compared with
         :meth:`SimulationResult.fidelity_with` and re-uses gate DDs.
-    gc_node_limit:
-        Initial garbage-collection threshold: when the package holds more
-        than this many nodes after a simulation step, unreachable nodes are
-        collected.  ``None`` disables collection.  Shorthand for passing a
-        default :class:`~repro.simulation.memory.MemoryGovernor` with this
-        initial limit; ignored when ``governor`` is given explicitly.
-    governor:
-        Full memory policy: initial limit, geometric threshold growth after
-        ineffective collections, optional hard ``max_nodes`` budget (which
-        raises :class:`~repro.simulation.memory.MemoryBudgetExceeded`
-        instead of grinding).
     use_local_apply:
         When true (the default), elementary operations fed by the sequential
         pathway to an iterative-kernel state (flat DD or dense block) are
@@ -305,6 +293,14 @@ class SimulationEngine:
         nodes always takes the paper's Eq. 1 step, the gate DD times the
         state.  Disable to put every state on that pathway, e.g. for the
         paper-artifact experiments.
+    governor:
+        Memory policy: the garbage-collection threshold, grown
+        geometrically after ineffective collections, and an optional hard
+        ``max_nodes`` budget (which raises
+        :class:`~repro.simulation.memory.MemoryBudgetExceeded` instead of
+        grinding).  The default collects past
+        :data:`~repro.simulation.memory.DEFAULT_NODE_LIMIT` nodes and has
+        no budget.
 
     Gate DDs are cached per operation like the compute tables cache
     results: the cache pins nothing across a garbage collection, and a
@@ -320,12 +316,11 @@ class SimulationEngine:
     """
 
     def __init__(self, package: Package | None = None,
-                 gc_node_limit: int | None = 500_000,
                  use_local_apply: bool = True,
                  governor: MemoryGovernor | None = None) -> None:
         self.package = package or Package()
         self.governor = governor if governor is not None \
-            else MemoryGovernor(node_limit=gc_node_limit)
+            else MemoryGovernor()
         self.use_local_apply = use_local_apply
         self._gate_cache: dict[tuple[Operation, int], Edge] = {}
         # 2x2 entries + control map per operation for the local-gate path
@@ -418,9 +413,9 @@ class SimulationEngine:
             operations.  Requires ``checkpoint_path``.
         ``degradation``
             A :class:`~repro.simulation.memory.DegradationPolicy`: when
-            the governor's hard ``max_nodes`` budget is hit, walk the
-            fallback ladder (collect, shrink compute tables,
-            fidelity-bounded pruning) before giving up.
+            the governor's hard ``max_nodes`` budget is still exceeded
+            after a collection, prune the state DD within the policy's
+            fidelity floor before giving up.
         ``audit_every``
             Run :meth:`Package.assert_invariants
             <repro.dd.package.Package.assert_invariants>` every K
@@ -429,8 +424,8 @@ class SimulationEngine:
         ``reorder``
             A :class:`~repro.simulation.reorder.ReorderPolicy` or spec
             string (``"off"``, ``"governor"``, ``"every=K"``).  Governed
-            sifting shrinks the state DD mid-run *before* the degradation
-            ladder gets to prune; the remaining circuit operations are
+            sifting shrinks the state DD mid-run *before* degradation gets
+            to prune; the remaining circuit operations are
             remapped on the fly and the result carries the cumulative
             permutation so measurements stay in logical qubit order.
         ``on_op``
@@ -832,9 +827,8 @@ class SimulationEngine:
         where a large mostly-reachable package paid a full collection plus
         compute-table wipe on every single step.  When the hard
         ``max_nodes`` budget is breached and the run carries a
-        :class:`~repro.simulation.memory.DegradationPolicy`, the
-        degradation ladder runs before :meth:`MemoryGovernor.check_budget`
-        gets to raise.
+        :class:`~repro.simulation.memory.DegradationPolicy`, the state is
+        pruned before :meth:`MemoryGovernor.check_budget` gets to raise.
 
         When the run carries a :class:`ReorderPolicy`, governed sifting
         slots in *between* collection and degradation: a cheaper variable
@@ -875,16 +869,13 @@ class SimulationEngine:
         governor = self.governor
         gc_before = package.gc_stats.snapshot() \
             if run.trace is not None else None
-        flat_before = package.gc_stats.flat_slots_freed
         freed = package.garbage_collect(run.roots())
         if freed:
             # A pure cache, like the compute tables: its gate DDs are not
             # roots, so freed nodes may include some of them.
             self._gate_cache.clear()
         live = package.live_node_count()
-        run._collection_grew = governor.note_collection(
-            freed, live,
-            flat_freed=package.gc_stats.flat_slots_freed - flat_before)
+        run._collection_grew = governor.note_collection(freed, live)
         if run.trace is not None:
             delta = package.gc_stats.delta(gc_before)
             run.trace({
@@ -1007,75 +998,41 @@ class SimulationEngine:
             run.strategy.on_reorder(run)
 
     def _degrade(self, run: _Run, live: int) -> int:
-        """Walk the degradation ladder; returns the final live-node count.
+        """Prune the state DD to fit the budget; returns the live-node count.
 
-        Every rung frees only *rebuildable or negligible* data: a forced
-        collection, then compute-table shrinking plus gate-cache clearing
-        (pure caches), then fidelity-bounded pruning of the state DD --
-        the only lossy step, bounded by the policy's cumulative fidelity
-        floor.  When the ladder cannot get under budget the caller's
-        ``check_budget`` raises as before (and a checkpointed run writes a
+        The caller has just collected, so every node left is reachable
+        and only the state can give any up: fidelity-bounded pruning down
+        to half the budget, bounded by the policy's cumulative fidelity
+        floor.  When pruning cannot get under budget the caller's
+        ``check_budget`` raises (and a checkpointed run writes a
         checkpoint on the way out).
         """
         policy = run.degradation
         package = self.package
-        budget = self.governor.max_nodes
-        # Rung 1: force a collection even below the GC threshold.
-        before = live
-        live = self._collect(run)
-        self._record_degradation(run, {
-            "action": "collect",
-            "nodes_freed": before - live,
-            "live_nodes": live,
-        })
-        if live <= budget:
+        target = max(1, self.governor.max_nodes // 2)
+        if package.count_nodes(run.state) <= target \
+                or not policy.allows_prune():
             return live
-        # Rung 2 (once per run): shrink every compute table and drop the
-        # engine's gate caches, then re-collect.
-        if not policy.tables_shrunk:
-            policy.tables_shrunk = True
-            dropped = 0
-            for cache in package.tables.compute_tables().values():
-                dropped += cache.resize(policy.compute_table_slots)
-            self.clear_caches()
-            before = live
+        # The per-call floor is the global floor divided by what the
+        # previous prunes already spent.
+        floor = min(1.0, policy.fidelity_floor / policy.cumulative_fidelity)
+        result = prune_to_node_budget(package, self._materialize(run.state),
+                                      target, min_fidelity=floor)
+        if result.edges_cut > 0:
+            run.state = self._to_state_store(result.state)
             live = self._collect(run)
             self._record_degradation(run, {
-                "action": "shrink-tables",
-                "slots": policy.compute_table_slots,
-                "compute_entries_dropped": dropped,
-                "nodes_freed": before - live,
+                "action": "prune",
+                "fidelity": result.fidelity,
+                "edges_cut": result.edges_cut,
+                "state_nodes_before": result.nodes_before,
+                "state_nodes_after": result.nodes_after,
                 "live_nodes": live,
             })
-            if live <= budget:
-                return live
-        # Rung 3: fidelity-bounded pruning of the state DD.
-        state_nodes = package.count_nodes(run.state)
-        target = max(1, int(budget * policy.prune_target_fraction))
-        if state_nodes > target and policy.allows_prune():
-            # The per-call floor is the global floor divided by what the
-            # previous prunes already spent.
-            floor = min(1.0, policy.fidelity_floor / policy.cumulative_fidelity)
-            result = prune_to_node_budget(
-                package, self._materialize(run.state), target,
-                min_fidelity=floor,
-                initial_budget=policy.prune_initial_budget,
-                growth=policy.prune_growth)
-            if result.edges_cut > 0:
-                run.state = self._to_state_store(result.state)
-                live = self._collect(run)
-                self._record_degradation(run, {
-                    "action": "prune",
-                    "fidelity": result.fidelity,
-                    "edges_cut": result.edges_cut,
-                    "state_nodes_before": result.nodes_before,
-                    "state_nodes_after": result.nodes_after,
-                    "live_nodes": live,
-                })
         return live
 
     def _record_degradation(self, run: _Run, action: dict) -> None:
-        """Record one ladder action in policy, statistics, and trace."""
+        """Record one degradation action in policy, statistics, and trace."""
         run.degradation.record(dict(action))
         run.statistics.record_degradation(dict(action))
         if run.trace is not None:

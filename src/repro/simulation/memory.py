@@ -9,7 +9,7 @@ instances the paper targets (Shor, supremacy) hit this thrash regime first.
 
 :class:`MemoryGovernor` turns the limit into a policy: after an ineffective
 collection the threshold grows geometrically past the surviving working set
-(``limit = max(limit, growth_factor * surviving)``), so a mostly-reachable
+(``limit = max(limit, GROWTH_FACTOR * surviving)``), so a mostly-reachable
 package stops re-triggering wipes and collection frequency stays
 proportional to actual garbage production.  An optional hard ``max_nodes``
 budget converts "grind until the machine swaps" into a clean
@@ -18,16 +18,31 @@ budget converts "grind until the machine swaps" into a clean
 
 from __future__ import annotations
 
-__all__ = ["DegradationPolicy", "MemoryBudgetExceeded", "MemoryGovernor"]
+__all__ = ["DEFAULT_NODE_LIMIT", "DegradationPolicy", "MemoryBudgetExceeded",
+           "MemoryGovernor"]
+
+#: the collection threshold a run starts from unless it names one
+DEFAULT_NODE_LIMIT = 500_000
+
+#: after a futile collection the threshold grows to this multiple of the
+#: surviving working set ...
+GROWTH_FACTOR = 1.5
+
+#: ... and at least this many nodes past it.  Geometric growth alone
+#: leaves only ``(GROWTH_FACTOR - 1) * surviving`` nodes of slack, which
+#: for a *small* working set above a tiny limit is a handful of nodes --
+#: consumed within a step or two, re-triggering collection almost as fast
+#: as a fixed threshold.  4096 nodes is ~1 MB of DD nodes.
+MIN_HEADROOM = 4096
 
 
 class MemoryBudgetExceeded(MemoryError):
     """The reachable working set exceeds the configured hard node budget.
 
     Raised by :class:`MemoryGovernor` after a garbage collection (and, when
-    a :class:`DegradationPolicy` is active, the whole degradation ladder)
-    could not bring the package under ``max_nodes``: every surviving node
-    is needed by the run, so continuing would only grind.  The simulation
+    a :class:`DegradationPolicy` is active, fidelity-bounded pruning) could
+    not bring the package under ``max_nodes``: every surviving node is
+    needed by the run, so continuing would only grind.  The simulation
     state is consistent when this is raised (the partial state remains
     queryable), and when the engine was checkpointing, ``checkpoint_path``
     names the checkpoint written just before raising -- the run can be
@@ -46,23 +61,18 @@ class MemoryBudgetExceeded(MemoryError):
 
 
 class DegradationPolicy:
-    """Ordered fallbacks the engine tries before giving up on the budget.
+    """Let the engine prune the state instead of giving up on the budget.
 
-    When the governor's hard ``max_nodes`` budget is hit, an engine with a
-    degradation policy walks a ladder instead of raising immediately:
+    When the governor's hard ``max_nodes`` budget is still exceeded after
+    a collection, an engine with a degradation policy cuts negligible
+    state-DD branches with
+    :func:`~repro.dd.approximation.prune_to_node_budget` down to half the
+    budget, never letting the *cumulative* fidelity across all prunes fall
+    below ``fidelity_floor``.  When that cannot bring the package under
+    the budget, :class:`MemoryBudgetExceeded` propagates (the engine
+    writes a checkpoint first when one was requested).
 
-    1. *collect* -- force a garbage collection even below the GC threshold;
-    2. *shrink-tables* -- resize every compute table down to
-       ``compute_table_slots`` slots and drop the engine's gate-DD caches
-       (all of it rebuildable, traded for memory once per run);
-    3. *prune* -- cut negligible state-DD branches with
-       :func:`~repro.dd.approximation.prune_to_node_budget`, never letting
-       the *cumulative* fidelity across all prunes fall below
-       ``fidelity_floor``;
-    4. give up -- let :class:`MemoryBudgetExceeded` propagate (the engine
-       writes a checkpoint first when one was requested).
-
-    Every action taken is recorded here, in the run's
+    Every prune is recorded here, in the run's
     :class:`~repro.simulation.statistics.SimulationStatistics`, and as a
     ``degrade`` trace event.  The policy is stateful per run sequence: a
     resumed run restores ``cumulative_fidelity`` from its checkpoint so the
@@ -72,40 +82,16 @@ class DegradationPolicy:
     ----------
     fidelity_floor:
         Lower bound on the product of all pruning fidelities.  ``1.0``
-        forbids pruning entirely (steps 1-2 still run).
-    compute_table_slots:
-        Slot count the compute tables are shrunk to in step 2 (rounded up
-        to a power of two).
-    prune_target_fraction:
-        Step 3 prunes the state DD down to this fraction of ``max_nodes``,
-        leaving headroom for products and caches.
-    prune_initial_budget / prune_growth:
-        Forwarded to :func:`prune_to_node_budget`.
+        forbids pruning, so an over-budget run aborts as without a policy.
     """
 
-    def __init__(self, fidelity_floor: float = 0.99,
-                 compute_table_slots: int = 1024,
-                 prune_target_fraction: float = 0.5,
-                 prune_initial_budget: float = 1e-6,
-                 prune_growth: float = 8.0) -> None:
+    def __init__(self, fidelity_floor: float = 0.99) -> None:
         if not 0.0 < fidelity_floor <= 1.0:
             raise ValueError(f"fidelity_floor must be in (0, 1], "
                              f"got {fidelity_floor}")
-        if compute_table_slots < 1:
-            raise ValueError(f"compute_table_slots must be positive, "
-                             f"got {compute_table_slots}")
-        if not 0.0 < prune_target_fraction <= 1.0:
-            raise ValueError(f"prune_target_fraction must be in (0, 1], "
-                             f"got {prune_target_fraction}")
         self.fidelity_floor = fidelity_floor
-        self.compute_table_slots = compute_table_slots
-        self.prune_target_fraction = prune_target_fraction
-        self.prune_initial_budget = prune_initial_budget
-        self.prune_growth = prune_growth
         #: product of all pruning fidelities so far (1.0 = still exact)
         self.cumulative_fidelity = 1.0
-        #: whether step 2 already ran (it only pays once per run)
-        self.tables_shrunk = False
         #: every action taken, in order (dicts mirroring the trace events)
         self.actions: list[dict] = []
 
@@ -114,12 +100,10 @@ class DegradationPolicy:
         return self.cumulative_fidelity > self.fidelity_floor
 
     def record(self, action: dict) -> None:
-        """Record one ladder action; fold its ``fidelity`` (if any) into
-        the cumulative product."""
+        """Record one prune; fold its ``fidelity`` into the cumulative
+        product."""
         self.actions.append(action)
-        fidelity = action.get("fidelity")
-        if fidelity is not None:
-            self.cumulative_fidelity *= fidelity
+        self.cumulative_fidelity *= action["fidelity"]
 
     # -- checkpoint round trip -----------------------------------------
 
@@ -127,25 +111,22 @@ class DegradationPolicy:
         return {
             "fidelity_floor": self.fidelity_floor,
             "cumulative_fidelity": self.cumulative_fidelity,
-            "tables_shrunk": self.tables_shrunk,
             "actions_taken": len(self.actions),
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        """Restore the floor-relevant state from a checkpoint.
+        """Restore the cumulative fidelity from a checkpoint.
 
         The action log itself lives in the checkpointed statistics; only
-        what changes future decisions (cumulative fidelity, the
-        shrink-once latch) is restored here.
+        what changes future decisions is restored here.  Keys this policy
+        does not use (older checkpoints carry ``tables_shrunk``) are
+        ignored.
         """
         self.cumulative_fidelity = float(
             payload.get("cumulative_fidelity", 1.0))
-        self.tables_shrunk = bool(payload.get("tables_shrunk", False))
 
     def describe(self) -> str:
-        return (f"degrade(floor={self.fidelity_floor:g}, "
-                f"slots={self.compute_table_slots}, "
-                f"target={self.prune_target_fraction:g})")
+        return f"degrade(floor={self.fidelity_floor:g})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DegradationPolicy({self.describe()})"
@@ -159,59 +140,34 @@ class MemoryGovernor:
     node_limit:
         Initial collection threshold: a collection is requested when the
         package holds more interned nodes than this.  ``None`` disables
-        collection entirely (``max_nodes`` is still enforced).
-    growth_factor:
-        After a collection that leaves the package above the current limit
-        (i.e. the reachable working set alone exceeds it), the limit grows
-        to ``growth_factor * surviving_nodes``.  ``1.0`` reproduces the
-        legacy fixed-threshold behaviour -- including its per-step thrash
-        when the working set outgrows the limit.
+        collection entirely (``max_nodes`` is still enforced).  After a
+        collection that leaves the package above the current limit (the
+        reachable working set alone exceeds it), the limit grows to
+        ``max(GROWTH_FACTOR * surviving, surviving + MIN_HEADROOM)``.
     max_nodes:
         Optional hard budget: when even a collection cannot bring the live
         node count under this, :class:`MemoryBudgetExceeded` is raised
         instead of grinding on.
-    min_headroom:
-        Lower bound on the gap between a grown threshold and the surviving
-        working set.  Geometric growth alone leaves only
-        ``(growth_factor - 1) * surviving`` nodes of slack, which for a
-        *small* working set above a tiny limit is a handful of nodes --
-        consumed within a step or two, re-triggering collection almost as
-        fast as a fixed threshold.  The floor guarantees every grown
-        threshold buys a proportional amount of garbage production before
-        the next collection.  4096 nodes is ~1 MB of DD nodes.
 
     The governor is stateful per engine, not per run: a long-lived engine
-    keeps its grown threshold across circuits (call :meth:`reset` to return
-    to the initial limit).
+    keeps its grown threshold across circuits.
     """
 
-    def __init__(self, node_limit: int | None = 500_000,
-                 growth_factor: float = 1.5,
-                 max_nodes: int | None = None,
-                 min_headroom: int = 4096) -> None:
+    def __init__(self, node_limit: int | None = DEFAULT_NODE_LIMIT,
+                 max_nodes: int | None = None) -> None:
         if node_limit is not None and node_limit < 1:
             raise ValueError(f"node_limit must be positive or None, "
                              f"got {node_limit}")
-        if growth_factor < 1.0:
-            raise ValueError(f"growth_factor must be >= 1.0, "
-                             f"got {growth_factor}")
         if max_nodes is not None and max_nodes < 1:
             raise ValueError(f"max_nodes must be positive or None, "
                              f"got {max_nodes}")
-        if min_headroom < 0:
-            raise ValueError(f"min_headroom must be non-negative, "
-                             f"got {min_headroom}")
         self.initial_limit = node_limit
         self.limit = node_limit
-        self.growth_factor = growth_factor
         self.max_nodes = max_nodes
-        self.min_headroom = min_headroom
         #: collections this governor requested
         self.collections_requested = 0
         #: times the limit was grown after an ineffective collection
         self.limit_growths = 0
-        #: flat-kernel slots freed across all collections (iterative kernel)
-        self.flat_slots_freed = 0
 
     # ------------------------------------------------------------------
 
@@ -219,28 +175,18 @@ class MemoryGovernor:
         """Whether the engine should garbage-collect at ``live_nodes``."""
         return self.limit is not None and live_nodes > self.limit
 
-    def note_collection(self, freed: int, surviving: int,
-                        flat_freed: int = 0) -> bool:
+    def note_collection(self, freed: int, surviving: int) -> bool:
         """Record a collection's outcome; grow the limit if it was futile.
 
-        ``flat_freed`` is the portion of ``freed`` that came from the
-        iterative kernel's flat-array compaction (0 on the recursive
-        kernel) -- tracked so A/B runs can see which store produced the
-        garbage.  Returns ``True`` when the threshold was grown -- the
-        signal that the surviving working set exceeds the old limit, so
-        re-collecting next step would free (almost) nothing again.
+        Returns ``True`` when the threshold was grown -- the signal that
+        the surviving working set exceeds the old limit, so re-collecting
+        next step would free (almost) nothing again.
         """
         self.collections_requested += 1
-        self.flat_slots_freed += flat_freed
         if self.limit is None or surviving <= self.limit:
             return False
-        if self.growth_factor <= 1.0:
-            # Legacy fixed-threshold mode: never adapt (and thrash when the
-            # working set outgrows the limit) -- kept for A/B benchmarks.
-            return False
-        self.limit = max(self.limit + 1,
-                         int(self.growth_factor * surviving),
-                         surviving + self.min_headroom)
+        self.limit = max(self.limit + 1, int(GROWTH_FACTOR * surviving),
+                         surviving + MIN_HEADROOM)
         self.limit_growths += 1
         return True
 
@@ -249,29 +195,22 @@ class MemoryGovernor:
         if self.max_nodes is not None and live_nodes > self.max_nodes:
             raise MemoryBudgetExceeded(live_nodes, self.max_nodes)
 
-    def reset(self) -> None:
-        """Return to the initial limit (policy stats are kept)."""
-        self.limit = self.initial_limit
-
     # ------------------------------------------------------------------
 
     def describe(self) -> str:
         limit = "off" if self.limit is None else str(self.limit)
         budget = "" if self.max_nodes is None \
             else f", max_nodes={self.max_nodes}"
-        return (f"governor(limit={limit}, "
-                f"growth={self.growth_factor:g}{budget})")
+        return f"governor(limit={limit}{budget})"
 
     def stats(self) -> dict:
         """Machine-readable policy counters (for benchmarks and traces)."""
         return {
             "initial_limit": self.initial_limit,
             "limit": self.limit,
-            "growth_factor": self.growth_factor,
             "max_nodes": self.max_nodes,
             "collections_requested": self.collections_requested,
             "limit_growths": self.limit_growths,
-            "flat_slots_freed": self.flat_slots_freed,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,8 +11,8 @@ runs :func:`repro.dd.reordering.sift` on the state:
   either left the live working set over the governor's hard ``max_nodes``
   budget or proved futile (the collection threshold had to grow because
   the working set itself outgrew it).  The engine runs the sift *before*
-  the degradation ladder, so a cheaper variable order is tried before any
-  lossy pruning.
+  degradation, so a cheaper variable order is tried before any lossy
+  pruning.
 * ``"every=K"`` -- reorder unconditionally every ``K`` consumed elementary
   operations (the cadence mode for studies and tests).
 

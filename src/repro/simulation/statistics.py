@@ -8,8 +8,8 @@ quantities, plus machine-independent recursive-call counters from the DD
 package, so strategy comparisons do not depend on wall-clock noise alone.
 
 For resilient long runs the statistics additionally record every
-*degradation action* (GC under pressure, compute-table shrinking,
-fidelity-bounded pruning) together with the cumulative fidelity retained,
+*degradation action* (a fidelity-bounded prune under memory pressure)
+together with the cumulative fidelity retained,
 and how many checkpoints were written -- and the whole record round-trips
 through :meth:`as_dict` / :meth:`from_dict` so a resumed run continues its
 predecessor's numbers instead of starting from zero.
@@ -108,12 +108,10 @@ class SimulationStatistics:
             self.peak_matrix_nodes = nodes
 
     def record_degradation(self, action: dict) -> None:
-        """Append one degradation action; fold any ``fidelity`` field into
-        the cumulative product."""
+        """Append one degradation action; fold its ``fidelity`` into the
+        cumulative product."""
         self.degradation_actions.append(action)
-        fidelity = action.get("fidelity")
-        if fidelity is not None:
-            self.cumulative_fidelity *= fidelity
+        self.cumulative_fidelity *= action["fidelity"]
 
     def merge(self, other: "SimulationStatistics") -> None:
         """Accumulate another run's numbers (used by multi-segment drivers)."""

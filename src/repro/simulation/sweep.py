@@ -263,10 +263,10 @@ class CellTimeout(Exception):
 # ----------------------------------------------------------------------
 
 def _governor_for(task: SweepTask) -> "MemoryGovernor | None":
-    from .memory import MemoryGovernor
+    from .memory import DEFAULT_NODE_LIMIT, MemoryGovernor
     if task.max_nodes is None and task.gc_limit is None:
         return None
-    return MemoryGovernor(node_limit=task.gc_limit or 500_000,
+    return MemoryGovernor(node_limit=task.gc_limit or DEFAULT_NODE_LIMIT,
                           max_nodes=task.max_nodes)
 
 

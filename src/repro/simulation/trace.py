@@ -27,12 +27,10 @@ Event schema (all events carry ``event`` and ``op_index``):
     ``limit`` (the governor's threshold after the collection -- grows after
     an ineffective one).
 ``degrade``
-    One degradation-ladder action under memory pressure.  Fields:
-    ``op_index``, ``action`` (``collect`` | ``shrink-tables`` | ``prune``),
-    ``live_nodes``, ``cumulative_fidelity``, plus per-action detail
-    (``nodes_freed``; ``slots`` / ``compute_entries_dropped``;
-    ``fidelity`` / ``edges_cut`` / ``state_nodes_before`` /
-    ``state_nodes_after``).
+    One degradation action under memory pressure.  Fields: ``op_index``,
+    ``action`` (always ``prune``), ``fidelity``, ``edges_cut``,
+    ``state_nodes_before``, ``state_nodes_after``, ``live_nodes``,
+    ``cumulative_fidelity``.
 ``checkpoint``
     One checkpoint written (periodic or on-failure).  Fields:
     ``op_index`` (next flattened operation to apply), ``path``,

@@ -256,9 +256,8 @@ def check_case(case: FuzzCase,
                fidelity_floor: float = FIDELITY_FLOOR) -> CaseVerdict:
     """Run the case's plan on a fresh engine, compare to the dense oracle.
 
-    Budget aborts are skips (the lossless degradation ladder is *allowed*
-    to give up under a tight ``max_nodes``); crashes and sub-floor
-    fidelities are failures.
+    Budget aborts are skips (a plan run is *allowed* to give up under a
+    tight ``max_nodes``); crashes and sub-floor fidelities are failures.
     """
     circuit = case.circuit()
     outcome = execute_plan(circuit, case.plan, engine_cls=engine_cls)

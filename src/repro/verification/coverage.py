@@ -4,8 +4,8 @@ Coverage-guided fuzzing needs a cheap novelty signal: "did this input make
 the system do something no earlier input did?".  We have no branch
 instrumentation, but the engine already measures itself --
 :class:`~repro.simulation.statistics.SimulationStatistics` counts Eq. 1 /
-Eq. 2 multiplications, reorders, checkpoints, degradation actions and
-dense cutovers, and carries end-of-run cache hit rates.  Bucketing those
+Eq. 2 multiplications, reorders, checkpoints and dense cutovers, and
+carries end-of-run cache hit rates.  Bucketing those
 into a :func:`coverage_signature` gives a behaviour fingerprint: two runs
 with the same signature exercised the engine the same way, a run with any
 *new* bucket found new behaviour and its case is worth mutating further.
@@ -65,8 +65,6 @@ def coverage_signature(plan: RunPlan, outcome: PlanOutcome) -> frozenset:
     buckets.add(f"reused-blocks:{_cap(stats.reused_block_applications)}")
     if outcome.resumed:
         buckets.add("resumed")
-    for action in stats.degradation_actions:
-        buckets.add(f"degrade:{action.get('action', 'unknown')}")
     for table, rate in stats.cache_hit_rates.items():
         quartile = min(3, int(rate * 4))
         buckets.add(f"hit-rate:{table}:{quartile}")

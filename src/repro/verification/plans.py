@@ -1,8 +1,8 @@
 """Run plans: the option surface the fuzzer drives.
 
 Blind circuit fuzzing only ever exercises the engine's happy path; the
-risky machinery -- mid-run reordering, checkpoint/resume, the degradation
-ladder, the iterative kernel's representation switches -- activates only
+risky machinery -- mid-run reordering, checkpoint/resume, the hard node
+budget, the iterative kernel's representation switches -- activates only
 under specific *run options*.  A :class:`RunPlan` is a serialisable bundle
 of those options (the "option-plan grammar" in docs/architecture.md):
 
@@ -13,18 +13,17 @@ field              meaning
 ``dense_blocks``   iterative-kernel dense cutover allowed
 ``strategy``       any :func:`strategy_from_spec` string (``k=4``, ...)
 ``reorder``        ``None`` | ``governor`` | ``every=K`` mid-run sifting
-``max_nodes``      hard node budget driving the degradation ladder
+``max_nodes``      hard node budget; an overrun aborts the run
 ``checkpoint_at``  interrupt after op K, then ``SimulationEngine.resume``
 =================  =====================================================
 
 :func:`execute_plan` runs a circuit under a plan through a *fresh* engine
 and returns the result; the fuzzer compares it against the dense oracle.
-Degradation is configured lossless (``fidelity_floor=1.0``: collect and
-shrink-tables rungs only, pruning forbidden), so every completed plan run
--- interrupted, degraded, sifted, or all three -- must still match the
-oracle at the full ``1 - 1e-9`` floor.  A budget the lossless ladder
-cannot satisfy aborts the run; that is an expected outcome
-(``budget_aborted``), not a failure.
+Plans never prune, so every completed plan run -- interrupted, collected
+under a budget, sifted, or all three -- must still match the oracle at
+the full ``1 - 1e-9`` floor.  A budget that collection and sifting cannot
+satisfy aborts the run; that is an expected outcome (``budget_aborted``),
+not a failure.
 
 The module also hosts :class:`BrokenReorderEngine`, the planted
 reorder-path bug behind ``fuzz --plan-options --inject-broken``.
@@ -41,8 +40,7 @@ from ..baseline import simulate_statevector
 from ..circuit.circuit import QuantumCircuit
 from ..dd.package import Package
 from ..simulation.engine import SimulationEngine, SimulationResult
-from ..simulation.memory import (DegradationPolicy, MemoryBudgetExceeded,
-                                 MemoryGovernor)
+from ..simulation.memory import MemoryBudgetExceeded, MemoryGovernor
 from ..simulation.reorder import ReorderPolicy
 from ..simulation.statistics import SimulationStatistics
 from ..simulation.strategies import strategy_from_spec
@@ -138,7 +136,7 @@ def draw_plan(rng: Random, block: bool = False) -> RunPlan:
 
     Weighted toward combinations that activate the risky machinery: about
     half the plans reorder, a third carry a node budget tight enough to
-    walk the degradation ladder, and 40% interrupt-and-resume mid-run.
+    force collections (or an abort), and 40% interrupt-and-resume mid-run.
 
     ``block=True`` marks the circuit as carrying a repeated block: the
     strategy draw then favours the ``repeating`` family (the only consumer
@@ -188,7 +186,7 @@ class PlanOutcome:
     result: SimulationResult | None
     #: ``"ExcType: message"`` when the engine raised (a fuzz failure)
     error: str | None = None
-    #: the lossless degradation ladder could not satisfy ``max_nodes``
+    #: the reachable working set exceeded ``max_nodes`` after a collection
     #: (expected under tight budgets; the case is skipped, not failed)
     budget_aborted: bool = False
     #: the run was interrupted at ``checkpoint_at`` and resumed
@@ -223,8 +221,8 @@ def _make_engine(plan: RunPlan,
         return engine_cls(package=package, governor=governor)
     if plan.reorder == "governor":
         # Governor sifting keys on memory pressure; without a budget the
-        # default 500k-node threshold would never trip on fuzz-sized
-        # registers and the plan would silently test nothing.
+        # default threshold (DEFAULT_NODE_LIMIT) would never trip on
+        # fuzz-sized registers and the plan would silently test nothing.
         governor = MemoryGovernor(node_limit=PLAN_PRESSURE_NODE_LIMIT)
         return engine_cls(package=package, governor=governor)
     return engine_cls(package=package)
@@ -244,18 +242,13 @@ def execute_plan(circuit: QuantumCircuit, plan: RunPlan,
     """
     plan.validate()
     strategy = strategy_from_spec(plan.strategy)
-    degradation = DegradationPolicy(fidelity_floor=1.0,
-                                    compute_table_slots=256) \
-        if plan.max_nodes is not None else None
     reorder = _reorder_policy(plan.reorder) \
         if plan.reorder is not None else None
     engine = _make_engine(plan, engine_cls)
     stop_at = plan.checkpoint_at
     try:
         if stop_at is None:
-            result = engine.simulate(circuit, strategy,
-                                     degradation=degradation,
-                                     reorder=reorder)
+            result = engine.simulate(circuit, strategy, reorder=reorder)
             return PlanOutcome(result=result)
         with tempfile.TemporaryDirectory(prefix="fuzz-plan-") as tmp:
             path = os.path.join(tmp, "plan.ckpt")
@@ -267,20 +260,15 @@ def execute_plan(circuit: QuantumCircuit, plan: RunPlan,
             try:
                 result = engine.simulate(circuit, strategy,
                                          checkpoint_path=path,
-                                         degradation=degradation,
                                          reorder=reorder,
                                          on_op=interrupt)
                 return PlanOutcome(result=result)
             except KeyboardInterrupt:
                 resumed_engine = _make_engine(plan, engine_cls)
-                resumed_degradation = DegradationPolicy(
-                    fidelity_floor=1.0, compute_table_slots=256) \
-                    if plan.max_nodes is not None else None
                 resumed_reorder = _reorder_policy(plan.reorder) \
                     if plan.reorder is not None else None
-                result = resumed_engine.resume(
-                    path, circuit, degradation=resumed_degradation,
-                    reorder=resumed_reorder)
+                result = resumed_engine.resume(path, circuit,
+                                               reorder=resumed_reorder)
                 return PlanOutcome(result=result, resumed=True)
     except MemoryBudgetExceeded:
         return PlanOutcome(result=None, budget_aborted=True)

@@ -12,7 +12,7 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.dd import (Package, matrix_from_numpy, matrix_to_numpy,
                       vector_from_numpy, vector_to_numpy)
-from repro.simulation import SimulationEngine
+from repro.simulation import MemoryGovernor, SimulationEngine
 
 
 def crippled_package(slots: int = 1) -> Package:
@@ -71,8 +71,15 @@ class TestAggressiveGarbageCollection:
         from repro.baseline import simulate_statevector
         qc = QuantumCircuit(4)
         qc.h(0).cx(0, 1).t(1).cx(1, 2).sx(3).ccx(0, 2, 3).h(2)
-        engine = SimulationEngine(gc_node_limit=1)  # collect constantly
-        result = engine.simulate(qc)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=1))
+
+        def keep_limit_at_one(index: int) -> None:
+            # the first futile collection grows the limit past the working
+            # set; pin it back so the next gate collects too
+            engine.governor.limit = 1
+
+        result = engine.simulate(qc, on_op=keep_limit_at_one)
+        assert result.statistics.gc.collections == qc.num_operations()
         assert np.allclose(vector_to_numpy(result.state, 4),
                            simulate_statevector(qc), atol=1e-9)
 

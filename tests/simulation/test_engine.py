@@ -11,8 +11,9 @@ from repro.algorithms.supremacy import supremacy_circuit
 from repro.circuit import Operation, QuantumCircuit
 from repro.dd import Package, vector_to_numpy
 from repro.dd.kernel import DenseState
-from repro.simulation import (KOperationsStrategy, SequentialStrategy,
-                              SimulationEngine, SimulationResult)
+from repro.simulation import (KOperationsStrategy, MemoryGovernor,
+                              SequentialStrategy, SimulationEngine,
+                              SimulationResult)
 
 
 class TestGateCache:
@@ -54,7 +55,7 @@ class TestGateCache:
     def test_collection_that_frees_nodes_clears_gate_cache(self):
         # gate DDs are a pure cache: not roots, so a collection that frees
         # nodes may have freed some of them, and the cache goes with them
-        engine = SimulationEngine(gc_node_limit=2)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=2))
         seen = []
 
         def watch(event):
@@ -153,7 +154,7 @@ class TestSimulate:
 
 class TestGarbageCollection:
     def test_gc_triggers_and_preserves_state(self):
-        engine = SimulationEngine(gc_node_limit=50)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=50))
         qc = QuantumCircuit(4)
         rng = Random(3)
         for _ in range(60):
@@ -162,7 +163,8 @@ class TestGarbageCollection:
             target = (control + 1 + rng.randrange(3)) % 4
             qc.cx(control, target)
         # build an equivalent run without GC to compare
-        reference = SimulationEngine(gc_node_limit=None).simulate(qc)
+        reference = SimulationEngine(
+            governor=MemoryGovernor(node_limit=None)).simulate(qc)
         collected = engine.simulate(qc)
         assert np.allclose(vector_to_numpy(collected.state, 4),
                            vector_to_numpy(reference.state, 4), atol=1e-9)
@@ -173,7 +175,8 @@ class TestGarbageCollection:
         from repro.algorithms import supremacy_circuit
         instance = supremacy_circuit(2, 3, 8, seed=3)
         package = Package()
-        engine = SimulationEngine(package, gc_node_limit=None)
+        engine = SimulationEngine(
+            package, governor=MemoryGovernor(node_limit=None))
         first = engine.simulate(instance.circuit)
         package.garbage_collect([first.state])
         for name, stats in package.cache_stats()["compute"].items():
@@ -189,7 +192,7 @@ class TestGarbageCollection:
         assert package.live_node_count() >= live_after_gc
 
     def test_gc_disabled(self):
-        engine = SimulationEngine(gc_node_limit=None)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=None))
         qc = QuantumCircuit(2)
         qc.h(0).cx(0, 1)
         result = engine.simulate(qc)

@@ -29,11 +29,7 @@ class TestGovernorPolicy:
         with pytest.raises(ValueError):
             MemoryGovernor(node_limit=0)
         with pytest.raises(ValueError):
-            MemoryGovernor(growth_factor=0.5)
-        with pytest.raises(ValueError):
             MemoryGovernor(max_nodes=0)
-        with pytest.raises(ValueError):
-            MemoryGovernor(min_headroom=-1)
 
     def test_should_collect(self):
         governor = MemoryGovernor(node_limit=100)
@@ -48,8 +44,8 @@ class TestGovernorPolicy:
         assert governor.limit_growths == 0
 
     def test_ineffective_collection_grows_limit(self):
-        governor = MemoryGovernor(node_limit=100, growth_factor=1.5,
-                                  min_headroom=0)
+        # 1.5 x surviving; the 4096-node headroom floor is smaller here
+        governor = MemoryGovernor(node_limit=100)
         assert governor.note_collection(freed=0, surviving=100_000) is True
         assert governor.limit == 150_000
         assert governor.limit_growths == 1
@@ -57,22 +53,9 @@ class TestGovernorPolicy:
     def test_min_headroom_floor(self):
         # geometric growth on a tiny working set leaves only a handful of
         # nodes of slack; the floor guarantees a proportional buffer
-        governor = MemoryGovernor(node_limit=16, min_headroom=4096)
+        governor = MemoryGovernor(node_limit=16)
         governor.note_collection(freed=2, surviving=30)
-        assert governor.limit >= 30 + 4096
-
-    def test_legacy_fixed_threshold_mode(self):
-        governor = MemoryGovernor(node_limit=100, growth_factor=1.0)
-        assert governor.note_collection(freed=0, surviving=100_000) is False
-        assert governor.limit == 100
-        assert governor.limit_growths == 0
-
-    def test_reset_restores_initial_limit(self):
-        governor = MemoryGovernor(node_limit=100)
-        governor.note_collection(freed=0, surviving=10_000)
-        assert governor.limit > 100
-        governor.reset()
-        assert governor.limit == 100
+        assert governor.limit == 30 + 4096
 
     def test_budget_check(self):
         governor = MemoryGovernor(node_limit=None, max_nodes=1000)
@@ -100,34 +83,22 @@ class TestThrashRegression:
         # limit of 4 is below the reachable working set from step one: the
         # very first collection is futile and must grow the threshold
         circuit = dense_circuit(8)
-        engine = SimulationEngine(gc_node_limit=4)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=4))
         result = engine.simulate(circuit, SequentialStrategy())
         gc = result.statistics.gc
         steps = result.statistics.matrix_vector_mults
         # the limit grew past the working set, so collections stay far
-        # below one-per-step (the pre-governor behaviour)
+        # below one-per-step (the pre-governor behaviour; collecting on
+        # every step is checked exact by test_stress.py's
+        # test_gc_after_every_gate)
         assert gc.collections < steps / 4
         assert engine.governor.limit_growths >= 1
         assert engine.governor.limit > 4
 
-    def test_fixed_threshold_thrashes_for_contrast(self):
-        # the legacy mode really does collect on every step once the
-        # working set exceeds the limit -- the behaviour under test above
-        # is a fix, not an artifact of the workload
-        circuit = dense_circuit(8)
-        engine = SimulationEngine(
-            governor=MemoryGovernor(node_limit=4, growth_factor=1.0))
-        result = engine.simulate(circuit, SequentialStrategy())
-        gc = result.statistics.gc
-        assert gc.collections > result.statistics.matrix_vector_mults / 2
-        # collecting on every step must not cost correctness either
-        assert np.allclose(vector_to_numpy(result.state, 8),
-                           simulate_statevector(circuit), atol=1e-9)
-
     def test_ineffective_collection_keeps_compute_tables(self):
         # when nothing is freed, the compute tables are provably still
         # consistent (no node died, so no id can be re-used) and survive
-        engine = SimulationEngine(gc_node_limit=4)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=4))
         circuit = dense_circuit(6)
         result = engine.simulate(circuit, SequentialStrategy())
         gc = result.statistics.gc
@@ -140,7 +111,7 @@ class TestThrashRegression:
     def test_governed_and_ungoverned_states_agree(self):
         circuit = dense_circuit(7)
         dense = simulate_statevector(circuit)
-        engine = SimulationEngine(gc_node_limit=8)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=8))
         result = engine.simulate(circuit, SequentialStrategy())
         assert np.allclose(vector_to_numpy(result.state, 7), dense,
                            atol=1e-9)
@@ -171,7 +142,7 @@ class TestGcPreservesResults:
                            simulate_statevector(combined), atol=1e-9)
 
     def test_gc_stats_accumulate_on_package(self):
-        engine = SimulationEngine(gc_node_limit=8)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=8))
         result = engine.simulate(dense_circuit(7), SequentialStrategy())
         package_stats = engine.package.gc_stats
         run_stats = result.statistics.gc
@@ -201,7 +172,7 @@ class TestHardBudget:
 
     def test_budget_judges_reachable_nodes_not_garbage(self):
         # once the working set outgrows node_limit, the threshold grows to
-        # at least surviving + min_headroom, far past max_nodes; the
+        # at least surviving + 4096, far past max_nodes; the
         # budget must still be judged after a collection.  This run's
         # state peaks at 93 nodes, its reachable nodes at 97.
         circuit = pairing_circuit(5, tail_layers=2).circuit

@@ -8,9 +8,9 @@ from repro.algorithms import supremacy_circuit
 from repro.algorithms.grover import grover_circuit
 from repro.circuit import QuantumCircuit
 from repro.dd import Package
-from repro.simulation import (JsonlTraceSink, SequentialStrategy,
-                              SimulationEngine, load_trace,
-                              strategy_from_spec, trace_summary)
+from repro.simulation import (JsonlTraceSink, MemoryGovernor,
+                              SequentialStrategy, SimulationEngine,
+                              load_trace, strategy_from_spec, trace_summary)
 
 STEP_FIELDS = {"event", "op_index", "gate", "state_nodes", "dense_amps",
                "product_nodes", "live_nodes", "apply_gate_hit_rate",
@@ -41,7 +41,7 @@ class TestTraceCallback:
 
     def test_gc_events_under_tight_limit(self):
         events = []
-        engine = SimulationEngine(gc_node_limit=2)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=2))
         engine.simulate(ghz_circuit(5), SequentialStrategy(),
                         trace=events.append)
         gc_events = [e for e in events if e["event"] == "gc"]
@@ -109,7 +109,7 @@ class TestJsonlSink:
 class TestTraceSummary:
     def test_summary_from_events(self):
         events = []
-        engine = SimulationEngine(gc_node_limit=2)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=2))
         engine.simulate(ghz_circuit(5), SequentialStrategy(),
                         trace=events.append)
         summary = trace_summary(events)
@@ -159,7 +159,7 @@ class TestTraceSummary:
 
     def test_events_are_json_serialisable(self):
         events = []
-        engine = SimulationEngine(gc_node_limit=2)
+        engine = SimulationEngine(governor=MemoryGovernor(node_limit=2))
         engine.simulate(ghz_circuit(5), SequentialStrategy(),
                         trace=events.append)
         for event in events:

@@ -14,6 +14,7 @@ import pytest
 from repro import (KOperationsStrategy, MaxSizeStrategy, Package,
                    QuantumCircuit, RepeatingBlockStrategy, SequentialStrategy,
                    SimulationEngine)
+from repro.simulation import MemoryGovernor
 from repro.algorithms import (ShorOrderFinder, factor, grover_circuit,
                               multiplicative_order, qft_circuit,
                               supremacy_circuit)
@@ -136,8 +137,8 @@ class TestDenseAgreementSweep:
 class TestMemoryDiscipline:
     def test_long_simulation_with_small_gc_limit(self):
         instance = supremacy_circuit(3, 3, 10, seed=6)
-        tight = SimulationEngine(gc_node_limit=200)
-        loose = SimulationEngine(gc_node_limit=None)
+        tight = SimulationEngine(governor=MemoryGovernor(node_limit=200))
+        loose = SimulationEngine(governor=MemoryGovernor(node_limit=None))
         a = tight.simulate(instance.circuit)
         b = loose.simulate(instance.circuit)
         va = vector_to_numpy(a.state, 9)
